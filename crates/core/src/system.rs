@@ -90,7 +90,7 @@ enum Event {
 /// and wake-ups are single-pending by construction (the
 /// `next_arrival_scheduled` protocol, one frame in flight, one wake
 /// per idle epoch); sleep commands get one lane for the common
-/// single-transition plan and spill into the queue's sorted overflow
+/// single-transition plan and spill into the queue's overflow heap
 /// for multi-step plans or stale leftovers. Lanes are placement hints
 /// only — pop order is the global `(time, sequence)` order either way.
 const LANE_ARRIVAL: usize = 0;
@@ -201,9 +201,9 @@ impl Mode {
 
 /// Simulates one workload trace under one configuration.
 ///
-/// The lifetime `'t` is that of an optionally attached [`TraceSink`];
-/// untraced simulators (the default, via [`SystemSimulator::new`]) leave
-/// it unconstrained.
+/// The lifetime `'t` covers the borrowed workload [`Trace`] and any
+/// attached [`TraceSink`] or monitor: the simulator reads the trace's
+/// frames in place rather than copying them.
 pub struct SystemSimulator<'t> {
     badge: SmartBadge,
     costs: DpmCosts,
@@ -213,7 +213,7 @@ pub struct SystemSimulator<'t> {
     injector: FaultInjector,
 
     queue: LaneQueue<Event, LANES>,
-    frames: Vec<FrameRecord>,
+    frames: &'t [FrameRecord],
     buffer: FrameBuffer<FrameRecord>,
     mode: Mode,
     profile: PowerProfile,
@@ -270,7 +270,7 @@ impl<'t> SystemSimulator<'t> {
     /// # Errors
     ///
     /// Returns an error if the power manager rejects the configuration.
-    pub fn new(trace: &Trace, config: SystemConfig, seed: u64) -> Result<Self, PmError> {
+    pub fn new(trace: &'t Trace, config: SystemConfig, seed: u64) -> Result<Self, PmError> {
         Self::new_shared(
             trace,
             config,
@@ -288,7 +288,7 @@ impl<'t> SystemSimulator<'t> {
     ///
     /// Returns an error if the power manager rejects the configuration.
     pub fn new_shared(
-        trace: &Trace,
+        trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
         shared: &crate::resolve::SharedResources,
@@ -322,11 +322,14 @@ impl<'t> SystemSimulator<'t> {
             manager,
             rng: base_rng.fork("system"),
             injector,
-            // One lane per event kind; only surplus sleep commands ever
-            // spill, so a modest preallocation keeps the hot loop free
-            // of heap growth for any workload.
+            // One lane per event kind; only surplus sleep commands
+            // spill. Stale ones stay queued until their due time (each
+            // pop splits the energy integration), so the spill holds a
+            // few dozen at most under timeout policies but around a
+            // thousand under TISMDP, growing past this preallocation
+            // by doubling.
             queue: LaneQueue::with_spill_capacity(16),
-            frames: trace.frames().to_vec(),
+            frames: trace.frames(),
             buffer,
             mode: Mode::Idle,
             profile,
@@ -362,7 +365,7 @@ impl<'t> SystemSimulator<'t> {
     ///
     /// Returns an error if the power manager rejects the configuration.
     pub fn new_traced(
-        trace: &Trace,
+        trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
         sink: &'t mut dyn TraceSink,
@@ -379,7 +382,7 @@ impl<'t> SystemSimulator<'t> {
     ///
     /// Returns an error if the power manager rejects the configuration.
     pub fn new_traced_shared(
-        trace: &Trace,
+        trace: &'t Trace,
         config: SystemConfig,
         seed: u64,
         shared: &crate::resolve::SharedResources,

@@ -7,12 +7,12 @@
 //! a given seed.
 //!
 //! [`LaneQueue`] is the same contract specialized for simulators whose
-//! pending-event population is a handful of *kinds*: a fixed array of
-//! single-entry lanes plus a small sorted spill list, popped by an argmin
-//! scan instead of heap sifting. It is sequence-numbered with the same
-//! global counter, so its pop order — including FIFO ties — is identical
-//! to [`EventQueue`]'s for **every** push sequence, which keeps the heap
-//! queue usable as a differential-test reference.
+//! pending events are mostly one per *kind*: a fixed array of
+//! single-entry lanes, popped by an argmin scan instead of heap sifting,
+//! plus a binary-heap spill for the surplus. It is sequence-numbered
+//! with the same global counter, so its pop order — including FIFO ties
+//! — is identical to [`EventQueue`]'s for **every** push sequence, which
+//! keeps the heap queue usable as a differential-test reference.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -190,15 +190,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 /// A deterministic min-priority queue of timed events, laid out as
-/// `LANES` single-entry lanes plus a sorted spill list.
+/// `LANES` single-entry lanes plus a spill heap.
 ///
-/// Simulators whose steady state holds one pending event per *kind*
-/// (next arrival, decode completion, wake-up, …) assign each kind a
-/// lane at push time; the rare overflow — a second event of an
-/// occupied lane, or a lane index `≥ LANES` — lands in the spill list
-/// (kept sorted, newest-min at the back, so its own minimum is an
-/// `O(1)` peek). A pop is an argmin scan over at most `LANES + 1`
-/// candidates — no sift-down, no branch-mispredicting heap walk.
+/// Simulators assign each event *kind* (next arrival, decode
+/// completion, wake-up, …) a lane at push time. The overflow — a
+/// second event of an occupied lane, or a lane index `≥ LANES` — lands
+/// in the spill heap, whose minimum is an `O(1)` peek and whose pushes
+/// and pops cost `O(log n)` however deep it grows. A pop is an argmin
+/// scan over the `LANES` lane keys and the spill's minimum, so the
+/// lanes themselves never pay for sifting.
 ///
 /// The lane index is a **placement hint only**: it never affects
 /// ordering. Every push draws from one global sequence counter and
@@ -236,10 +236,10 @@ pub struct LaneQueue<E, const LANES: usize> {
     /// Event payloads per lane; occupied exactly when the matching key
     /// is not [`EMPTY_KEY`].
     slots: [Option<E>; LANES],
-    /// Overflow entries, sorted descending by `(at, seq)` so the
-    /// queue-wide minimum candidate is `spill.last()` and removing it
-    /// is an `O(1)` pop from the back.
-    spill: Vec<Entry<E>>,
+    /// Overflow entries, a min-heap on `(at, seq)` through [`Entry`]'s
+    /// inverted ordering (the one [`EventQueue`] uses), so the spill's
+    /// candidate for the argmin is `spill.peek()`.
+    spill: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -262,7 +262,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
         Self::with_spill_capacity(0)
     }
 
-    /// Creates an empty queue whose spill list holds `capacity` entries
+    /// Creates an empty queue whose spill heap holds `capacity` entries
     /// before reallocating. Simulators that know their worst-case
     /// overflow population preallocate here and keep the hot loop
     /// reallocation-free.
@@ -271,7 +271,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
         LaneQueue {
             keys: [EMPTY_KEY; LANES],
             slots: std::array::from_fn(|_| None),
-            spill: Vec::with_capacity(capacity),
+            spill: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -288,7 +288,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
     /// Schedules `event` at instant `at`, preferring slot `lane`.
     ///
     /// If the lane is free the entry occupies it; if it is taken — or
-    /// `lane ≥ LANES` — the entry joins the spill list. Either way the
+    /// `lane ≥ LANES` — the entry joins the spill heap. Either way the
     /// event participates in the global `(time, sequence)` order.
     ///
     /// # Panics
@@ -309,13 +309,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
             self.keys[lane] = pack_key(at, seq);
             self.slots[lane] = Some(event);
         } else {
-            // Descending order: everything before the insertion point is
-            // strictly greater (seq is unique, so no ties).
-            let entry = Entry { at, seq, event };
-            let pos = self
-                .spill
-                .partition_point(|e| (e.at, e.seq) > (entry.at, entry.seq));
-            self.spill.insert(pos, entry);
+            self.spill.push(Entry { at, seq, event });
         }
     }
 
@@ -327,7 +321,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
         // against a real key, so they drop out of the argmin without a
         // separate occupancy test.
         let mut best = EMPTY_KEY;
-        // `LANES` means "take from the spill list" in the argmin below.
+        // `LANES` means "take from the spill heap" in the argmin below.
         let mut best_lane = LANES;
         for (i, &key) in self.keys.iter().enumerate() {
             if key < best {
@@ -335,7 +329,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
                 best_lane = i;
             }
         }
-        if let Some(e) = self.spill.last() {
+        if let Some(e) = self.spill.peek() {
             let key = pack_key(e.at, e.seq);
             if key < best {
                 best = key;
@@ -364,7 +358,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
         let slot_min = self.keys.iter().copied().min().unwrap_or(EMPTY_KEY);
         let spill_min = self
             .spill
-            .last()
+            .peek()
             .map_or(EMPTY_KEY, |e| pack_key(e.at, e.seq));
         let best = slot_min.min(spill_min);
         if best == EMPTY_KEY {

@@ -39,10 +39,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Applies `ops` to a lane queue and the heap reference in lockstep,
 /// checking that pops, clocks, lengths, and peeks never diverge, then
-/// drains both and compares the tails. Panics on any divergence.
-fn run_differential(ops: &[Op]) {
+/// drains both and compares the tails. Panics on any divergence;
+/// returns the most events that were pending at once.
+fn run_differential(ops: &[Op]) -> usize {
     let mut lane_q: LaneQueue<usize, LANES> = LaneQueue::new();
     let mut heap_q: EventQueue<usize> = EventQueue::new();
+    let mut peak = 0;
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Push { lane, dt } => {
@@ -62,6 +64,7 @@ fn run_differential(ops: &[Op]) {
         assert_eq!(lane_q.is_empty(), heap_q.is_empty());
         assert_eq!(lane_q.peek_time(), heap_q.peek_time());
         assert_eq!(lane_q.now(), heap_q.now());
+        peak = peak.max(lane_q.len());
     }
     loop {
         let a = lane_q.pop().map(|s| (s.at, s.event));
@@ -72,6 +75,7 @@ fn run_differential(ops: &[Op]) {
             break;
         }
     }
+    peak
 }
 
 proptest! {
@@ -84,6 +88,54 @@ proptest! {
     fn lane_queue_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 1..200)) {
         run_differential(&ops);
     }
+}
+
+/// The simulator's own traffic, which the random streams above never
+/// reach: an arrival every ~25 ms on lane 0, its decode completion on
+/// lane 1, and at each idle entry two sleep commands on lane 3, due
+/// 0.3 s and 30 s later. Leaving idle does not cancel the commands, so
+/// the 30 s ones pile up in the spill, over a thousand pending at once
+/// and spread across 30 s, while the rest keep pushing and popping
+/// around them. The random cases (≤ 200 ops, `dt` < 4 ns) never build
+/// a spill this deep or this spread out in time.
+#[test]
+fn lane_queue_matches_heap_reference_on_a_deep_spill() {
+    use simcore::rng::SimRng;
+    const MS: u64 = 1_000_000;
+    /// Schedules `lane`'s event kind `dt` after the model's clock and
+    /// records the push.
+    fn push(model: &mut EventQueue<usize>, ops: &mut Vec<Op>, lane: usize, dt: u64) {
+        model.push(model.now() + SimDuration::from_nanos(dt), lane);
+        ops.push(Op::Push { lane, dt });
+    }
+    // A model queue plays the stream out to decide what each pop
+    // triggers; its payload is the lane, which names the event kind.
+    let mut model: EventQueue<usize> = EventQueue::new();
+    let mut ops = Vec::new();
+    let mut rng = SimRng::seed_from(0xDEE9_5911);
+    push(&mut model, &mut ops, 0, 25 * MS);
+    while model.now().as_nanos() < 40_000 * MS {
+        let next = model.pop().expect("arrivals never stop");
+        ops.push(Op::Pop);
+        match next.event {
+            // Arrival: decoding starts, and the next frame is due.
+            0 => {
+                let decode = 3 * MS + rng.next_u64() % (9 * MS);
+                push(&mut model, &mut ops, 1, decode);
+                let gap = 20 * MS + rng.next_u64() % (10 * MS);
+                push(&mut model, &mut ops, 0, gap);
+            }
+            // Decode done with the buffer empty: the device idles.
+            1 => {
+                push(&mut model, &mut ops, 3, 300 * MS);
+                push(&mut model, &mut ops, 3, 30_000 * MS);
+            }
+            // A sleep command, stale or not, is only popped.
+            _ => {}
+        }
+    }
+    let peak = run_differential(&ops);
+    assert!(peak > 1_000, "only {peak} events were ever pending");
 }
 
 /// Heavier sweep for the nightly `--include-ignored` pass: much longer

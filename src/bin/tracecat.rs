@@ -31,7 +31,7 @@
 
 use simcore::json::{Json, ToJson};
 use std::collections::BTreeMap;
-use std::io::{BufWriter, ErrorKind, Write};
+use std::io::{self, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 use trace::{
     parse_jsonl, replay, AssertionConfig, AssertionMonitor, Event, KindSet, ReplaySummary,
@@ -46,35 +46,44 @@ fn load(path: &str) -> Result<Vec<Event>, String> {
     parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_summary(events: &[Event]) {
+/// Checks a write to stdout. A reader that closes early
+/// (`tracecat … | head`) ends the output cleanly rather than as an
+/// error, and the command still exits with its own verdict.
+fn written(result: io::Result<()>) -> Result<(), String> {
+    match result {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
+fn cmd_summary(events: &[Event], out: &mut impl Write) -> io::Result<()> {
     let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
     for ev in events {
         *by_kind.entry(ev.name()).or_insert(0) += 1;
     }
-    println!("events: {}", events.len());
+    writeln!(out, "events: {}", events.len())?;
     for (name, count) in &by_kind {
-        println!("  {name:<12} {count}");
+        writeln!(out, "  {name:<12} {count}")?;
     }
     if let (Some(first), Some(last)) = (events.first(), events.last()) {
-        println!(
+        writeln!(
+            out,
             "span  : {:.6} s .. {:.6} s",
             first.at().as_secs_f64(),
             last.at().as_secs_f64()
-        );
+        )?;
     }
     let s = replay(events);
     for (mode, secs) in s.mode_secs() {
-        println!("mode  : {:<8} {secs:.6} s", mode.label());
+        writeln!(out, "mode  : {:<8} {secs:.6} s", mode.label())?;
     }
+    Ok(())
 }
 
-/// Writes the kept events to stdout as JSONL, through one buffered
-/// lock. A reader that closes early (`tracecat filter … | head`) ends
-/// the command cleanly rather than as an error.
-fn cmd_filter(events: &[Event], keep: KindSet) -> Result<(), String> {
-    let mut out = BufWriter::new(std::io::stdout().lock());
+/// Writes the kept events as JSONL.
+fn cmd_filter(events: &[Event], keep: KindSet, out: &mut impl Write) -> io::Result<()> {
     let mut line = String::new();
-    let written = events
+    events
         .iter()
         .filter(|ev| keep.contains(ev.kind()))
         .try_for_each(|ev| {
@@ -83,17 +92,12 @@ fn cmd_filter(events: &[Event], keep: KindSet) -> Result<(), String> {
             line.push('\n');
             out.write_all(line.as_bytes())
         })
-        .and_then(|()| out.flush());
-    match written {
-        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
-        _ => Ok(()),
-    }
 }
 
-/// Prints the Figure 6 view: the decode frequency each time it changes,
+/// Writes the Figure 6 view: the decode frequency each time it changes,
 /// reconstructed purely from `decode_start` and `freq_switch` events.
-fn cmd_freq_table(events: &[Event]) {
-    println!("{:>12}  {:>10}", "t_s", "freq_mhz");
+fn cmd_freq_table(events: &[Event], out: &mut impl Write) -> io::Result<()> {
+    writeln!(out, "{:>12}  {:>10}", "t_s", "freq_mhz")?;
     let mut current: Option<u32> = None;
     for ev in events {
         let (at, tenths) = match *ev {
@@ -107,20 +111,22 @@ fn cmd_freq_table(events: &[Event]) {
             _ => continue,
         };
         if current != Some(tenths) {
-            println!(
+            writeln!(
+                out,
                 "{:>12.6}  {:>10.1}",
                 at.as_secs_f64(),
                 f64::from(tenths) / 10.0
-            );
+            )?;
             current = Some(tenths);
         }
     }
     let s = replay(events);
-    println!();
-    println!("{:>10}  {:>14}", "freq_mhz", "decode_secs");
+    writeln!(out)?;
+    writeln!(out, "{:>10}  {:>14}", "freq_mhz", "decode_secs")?;
     for (tenths, secs) in s.freq_secs() {
-        println!("{:>10.1}  {secs:>14.6}", f64::from(tenths) / 10.0);
+        writeln!(out, "{:>10.1}  {secs:>14.6}", f64::from(tenths) / 10.0)?;
     }
+    Ok(())
 }
 
 /// Compares a replayed summary against a `SimReport` JSON object and
@@ -188,32 +194,48 @@ fn check_against_report(summary: &ReplaySummary, report: &Json) -> Vec<String> {
     mismatches
 }
 
-fn cmd_replay(events: &[Event], as_json: bool, check: Option<&str>) -> Result<(), String> {
+fn write_replay_summary(
+    summary: &ReplaySummary,
+    as_json: bool,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    if as_json {
+        return writeln!(out, "{}", summary.to_json().pretty());
+    }
+    writeln!(
+        out,
+        "frames {} | switches {} | rate changes {} | sleeps {} | wakes {} | {:.3} s",
+        summary.frames_completed,
+        summary.freq_switches,
+        summary.rate_changes,
+        summary.sleeps,
+        summary.wakes,
+        summary.duration_secs()
+    )?;
+    for (mode, secs) in summary.mode_secs() {
+        writeln!(out, "  {:<8} {secs:.6} s", mode.label())?;
+    }
+    Ok(())
+}
+
+fn cmd_replay(
+    events: &[Event],
+    as_json: bool,
+    check: Option<&str>,
+    out: &mut impl Write,
+) -> Result<(), String> {
     trace::ensure_time_ordered(events)?;
     let summary = replay(events);
-    if as_json {
-        println!("{}", summary.to_json().pretty());
-    } else {
-        println!(
-            "frames {} | switches {} | rate changes {} | sleeps {} | wakes {} | {:.3} s",
-            summary.frames_completed,
-            summary.freq_switches,
-            summary.rate_changes,
-            summary.sleeps,
-            summary.wakes,
-            summary.duration_secs()
-        );
-        for (mode, secs) in summary.mode_secs() {
-            println!("  {:<8} {secs:.6} s", mode.label());
-        }
-    }
+    written(write_replay_summary(&summary, as_json, out))?;
     if let Some(path) = check {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let report = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let mismatches = check_against_report(&summary, &report);
         if mismatches.is_empty() {
-            println!("[check] trace is consistent with {path}");
+            written(writeln!(out, "[check] trace is consistent with {path}"))?;
         } else {
+            // The summary goes out before the mismatches that follow it.
+            written(out.flush())?;
             for m in &mismatches {
                 eprintln!("[check] MISMATCH {m}");
             }
@@ -227,15 +249,20 @@ fn cmd_replay(events: &[Event], as_json: bool, check: Option<&str>) -> Result<()
 }
 
 /// Replays the trace through the shared invariant definitions and
-/// prints the verdict. Returns the process exit code: `0` clean,
+/// writes the verdict. Returns the process exit code: `0` clean,
 /// [`EXIT_VIOLATIONS`] when any invariant tripped.
-fn cmd_assert(events: &[Event], config: &AssertionConfig, as_json: bool) -> Result<u8, String> {
+fn cmd_assert(
+    events: &[Event],
+    config: &AssertionConfig,
+    as_json: bool,
+    out: &mut impl Write,
+) -> Result<u8, String> {
     let report = AssertionMonitor::check(config, events)?;
-    if as_json {
-        println!("{}", report.to_json().pretty());
+    written(if as_json {
+        writeln!(out, "{}", report.to_json().pretty())
     } else {
-        println!("{report}");
-    }
+        writeln!(out, "{report}")
+    })?;
     Ok(if report.is_clean() {
         0
     } else {
@@ -285,33 +312,36 @@ fn parse_tail(args: &[String], flag: &str) -> Result<(bool, Option<String>, Stri
     Ok((as_json, value, path.ok_or_else(|| usage().to_owned())?))
 }
 
+/// Runs one subcommand, writing its output to stdout through one
+/// buffered lock.
 fn run(args: &[String]) -> Result<u8, String> {
-    match args.first().map(String::as_str) {
+    let mut out = BufWriter::new(io::stdout().lock());
+    let code = match args.first().map(String::as_str) {
         Some("summary") => {
             let [path] = &args[1..] else {
                 return Err(usage().to_owned());
             };
-            cmd_summary(&load(path)?);
-            Ok(0)
+            written(cmd_summary(&load(path)?, &mut out))?;
+            0
         }
         Some("filter") => match &args[1..] {
             [kinds_flag, kinds, path] if kinds_flag == "--kinds" => {
-                cmd_filter(&load(path)?, KindSet::parse(kinds)?)?;
-                Ok(0)
+                written(cmd_filter(&load(path)?, KindSet::parse(kinds)?, &mut out))?;
+                0
             }
-            _ => Err(usage().to_owned()),
+            _ => return Err(usage().to_owned()),
         },
         Some("freq-table") => {
             let [path] = &args[1..] else {
                 return Err(usage().to_owned());
             };
-            cmd_freq_table(&load(path)?);
-            Ok(0)
+            written(cmd_freq_table(&load(path)?, &mut out))?;
+            0
         }
         Some("replay") => {
             let (as_json, check, path) = parse_tail(&args[1..], "--check")?;
-            cmd_replay(&load(&path)?, as_json, check.as_deref())?;
-            Ok(0)
+            cmd_replay(&load(&path)?, as_json, check.as_deref(), &mut out)?;
+            0
         }
         Some("assert") => {
             let (as_json, config_path, path) = parse_tail(&args[1..], "--config")?;
@@ -319,10 +349,12 @@ fn run(args: &[String]) -> Result<u8, String> {
                 Some(p) => load_assert_config(&p)?,
                 None => AssertionConfig::paper(),
             };
-            cmd_assert(&load(&path)?, &config, as_json)
+            cmd_assert(&load(&path)?, &config, as_json, &mut out)?
         }
-        _ => Err(usage().to_owned()),
-    }
+        _ => return Err(usage().to_owned()),
+    };
+    written(out.flush())?;
+    Ok(code)
 }
 
 fn main() -> ExitCode {
@@ -454,17 +486,21 @@ mod tests {
     fn replay_rejects_out_of_order_traces() {
         let mut events = sample_events();
         events.swap(2, 3); // frame_done now precedes its decode_start
-        let err = cmd_replay(&events, false, None).expect_err("disordered trace");
+        let mut out = Vec::new();
+        let err = cmd_replay(&events, false, None, &mut out).expect_err("disordered trace");
         assert!(err.contains("out of time order"), "{err}");
+        assert!(out.is_empty(), "nothing is written for a rejected trace");
         // The same trace in order replays fine.
-        cmd_replay(&sample_events(), false, None).expect("ordered trace");
+        cmd_replay(&sample_events(), false, None, &mut out).expect("ordered trace");
+        assert!(out.starts_with(b"frames 1 | "));
     }
 
     #[test]
     fn assert_exit_codes_separate_clean_violating_and_corrupt() {
         let config = AssertionConfig::paper();
+        let out = &mut io::sink();
         // The sample trace is clean under the paper invariants.
-        assert_eq!(cmd_assert(&sample_events(), &config, false), Ok(0));
+        assert_eq!(cmd_assert(&sample_events(), &config, false, out), Ok(0));
         // An occupancy overflow trips the watchdog invariant: exit 3.
         let mut events = sample_events();
         events.insert(
@@ -474,10 +510,10 @@ mod tests {
                 occupancy: 100,
             },
         );
-        assert_eq!(cmd_assert(&events, &config, true), Ok(EXIT_VIOLATIONS));
+        assert_eq!(cmd_assert(&events, &config, true, out), Ok(EXIT_VIOLATIONS));
         // A disordered trace is an error, not a verdict.
         events.swap(2, 3);
-        let err = cmd_assert(&events, &config, false).expect_err("disordered");
+        let err = cmd_assert(&events, &config, false, out).expect_err("disordered");
         assert!(err.contains("out of time order"), "{err}");
     }
 }

@@ -940,3 +940,60 @@ fn tracecat_filter_exits_cleanly_when_the_reader_closes_early() {
     assert!(out.status.success(), "status {:?}: {stderr}", out.status);
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// Runs `tracecat` with `args` after the `mp3:AB` trace of
+/// `EMA_TIMEOUT` (written under `dir`), its stdout a pipe whose read
+/// end is closed right after spawn, before the trace has even loaded,
+/// so every write the command makes fails with `BrokenPipe`. Requires
+/// exit code `code` and no panic.
+fn assert_clean_exit_into_a_closed_pipe(dir: &str, args: &[&str], code: i32) {
+    use std::process::Stdio;
+
+    let trace = traced_mp3_ab(&std::env::temp_dir().join(dir), "run.jsonl", &EMA_TIMEOUT);
+    let mut child = tracecat()
+        .args(args)
+        .arg(&trace)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("tracecat exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn tracecat_summary_exits_cleanly_into_a_closed_pipe() {
+    assert_clean_exit_into_a_closed_pipe("dvsdpm-cli-summary-pipe", &["summary"], 0);
+}
+
+#[test]
+fn tracecat_freq_table_exits_cleanly_into_a_closed_pipe() {
+    assert_clean_exit_into_a_closed_pipe("dvsdpm-cli-freq-table-pipe", &["freq-table"], 0);
+}
+
+#[test]
+fn tracecat_replay_exits_cleanly_into_a_closed_pipe() {
+    assert_clean_exit_into_a_closed_pipe("dvsdpm-cli-replay-pipe", &["replay", "--json"], 0);
+}
+
+#[test]
+fn tracecat_assert_keeps_its_verdict_into_a_closed_pipe() {
+    let dir = std::env::temp_dir().join("dvsdpm-cli-assert-pipe");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // An impossible delay bound: every frame violates, exit code 3.
+    let config = dir.join("strict.json");
+    std::fs::write(
+        &config,
+        r#"{ "delay": { "bound_s": 1e-9, "tolerance": 0.0 } }"#,
+    )
+    .expect("config written");
+    let config = config.to_str().expect("utf8 temp path");
+    assert_clean_exit_into_a_closed_pipe(
+        "dvsdpm-cli-assert-pipe",
+        &["assert", "--config", config],
+        3,
+    );
+}

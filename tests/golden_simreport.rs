@@ -79,3 +79,31 @@ fn simreport_matches_golden_at_any_calibration_thread_count() {
     }
     set_default_jobs(0); // restore auto
 }
+
+/// Pins a device whose event queue builds a deep spill. Under `ideal`
+/// DVS with TISMDP, every idle period queues sleep commands that stay
+/// pending until their due time (popping them splits the energy
+/// integration), so a session device holds about a thousand queued
+/// commands at once. The change-point/break-even golden above almost
+/// never spills, so it cannot see a queue that reorders them.
+#[test]
+fn deep_spill_session_matches_pinned_kernel_counts() {
+    let config = SystemConfig {
+        governor: GovernorKind::Ideal,
+        dpm: DpmKind::Tismdp { delay_weight: 2.0 },
+        ..SystemConfig::default()
+    };
+    let trace = scenario::build_session(42).unwrap();
+    let (report, events) = scenario::run_trace_counted(&trace, &config, 42).unwrap();
+    let json = report.to_json().dump();
+    assert_eq!(
+        (
+            trace.frames().len(),
+            events,
+            fleet::checkpoint::fnv1a64(json.as_bytes()),
+            json.len()
+        ),
+        (54_804, 152_386, 0x2ab6_e8ec_cc2f_ffb4, 1_034),
+        "frames, kernel events, report digest or report bytes drifted"
+    );
+}
