@@ -9,7 +9,7 @@
 
 use powermgr::config::{DpmKind, SystemConfig};
 use powermgr::dvs::QueueModel;
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 use simcore::rng::SimRng;
 use workload::MpegClip;
 
@@ -70,7 +70,8 @@ fn main() {
             queue_model: model,
             ..SystemConfig::default()
         };
-        let report = scenario::run_mpeg_clip("football", &config, bench::EXPERIMENT_SEED)
+        let report = Workload::Mpeg("football".into())
+            .run(&config, bench::EXPERIMENT_SEED, Attachments::default())
             .expect("ablation scenario runs");
         println!(
             "{:<24} {:>11.3} {:>12.3}",

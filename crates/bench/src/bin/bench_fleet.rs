@@ -40,7 +40,7 @@
 //!         [--check] [--baseline PATH]`
 
 use detect::calibrate::{default_ratios, CalibrationConfig};
-use fleet::{run_fleet, FleetSpec};
+use fleet::{run_fleet_opts, FleetSpec, RunOptions};
 use simcore::json::ToJson;
 use simcore::par::Jobs;
 use std::time::Instant;
@@ -194,7 +194,8 @@ fn main() {
     // the first change-point device of the process pays the one-off
     // calibration miss, which would otherwise swamp the jobs=1 row.
     let warmup = spec(3);
-    let _ = run_fleet(&warmup, Jobs::Count(jobs)).expect("warmup runs");
+    let _ =
+        run_fleet_opts(&warmup, Jobs::Count(jobs), &RunOptions::default()).expect("warmup runs");
     let spec = spec(devices);
 
     let mut rows: Vec<Row> = Vec::new();
@@ -203,7 +204,8 @@ fn main() {
     for n in job_counts {
         let before = detect::cache::cache_stats_detailed();
         let t0 = Instant::now();
-        let report = run_fleet(&spec, Jobs::Count(n)).expect("benchmark fleet runs");
+        let report = run_fleet_opts(&spec, Jobs::Count(n), &RunOptions::default())
+            .expect("benchmark fleet runs");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let cache = detect::cache::cache_stats_detailed().since(&before);
 

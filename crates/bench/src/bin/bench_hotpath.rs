@@ -39,7 +39,8 @@ use detect::estimator::RateEstimator;
 use detect::{ChangePointConfig, ChangePointDetector};
 use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{self, Attachments};
+use powermgr::{SharedResources, SystemSimulator};
 use simcore::dist::{Exponential, Sample};
 use simcore::rng::SimRng;
 use std::time::Instant;
@@ -200,14 +201,25 @@ fn bench_simulator(labels: &str, reps: u32) -> (u64, f64) {
         },
         ..SystemConfig::default()
     };
-    let trace = scenario::build_mp3_sequence(labels, 42).expect("golden labels build");
+    let trace = scenario::Workload::Mp3(labels.into())
+        .build(42)
+        .expect("golden labels build");
     // Warm pass, traced: warms the threshold cache and counts the trace
     // events the scenario emits, which keeps the benchmark's historical
     // denominator (trace events per wall second). The timed passes below
     // run the monomorphized untraced kernel — the fleet's default path —
     // which emits nothing, so the count must come from here.
     let mut sink = CountSink { count: 0 };
-    let warm = scenario::run_trace_traced(&trace, &config, 42, &mut sink).expect("warm run");
+    let warm = scenario::run_trace(
+        &trace,
+        &config,
+        42,
+        Attachments {
+            sink: Some(&mut sink),
+            ..Attachments::default()
+        },
+    )
+    .expect("warm run");
     assert!(warm.frames_completed > 0);
     // Each rep is the identical deterministic run, so the fastest rep is
     // the kernel's speed and the slower ones are scheduler/interrupt
@@ -215,8 +227,11 @@ fn bench_simulator(labels: &str, reps: u32) -> (u64, f64) {
     let mut best_secs = f64::INFINITY;
     let mut last = None;
     for _ in 0..reps {
-        let ((report, pops), secs) =
-            time(|| scenario::run_trace_counted(&trace, &config, 42).expect("timed run"));
+        let ((report, pops), secs) = time(|| {
+            SystemSimulator::new_shared(&trace, config.clone(), 42, &SharedResources::default())
+                .and_then(|sim| sim.run_counted(trace.end()))
+                .expect("timed run")
+        });
         assert!(pops > 0);
         best_secs = best_secs.min(secs);
         last = Some(report);

@@ -6,7 +6,7 @@
 //! performance loss; exponential average worse on both axes; maximum
 //! performance the most energy with the least delay.
 
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 
 struct Row {
     sequence: String,
@@ -36,8 +36,9 @@ fn main() {
         for (name, governor) in bench::table_governors() {
             let config = bench::dvs_only(governor);
             let seed = bench::EXPERIMENT_SEED + si as u64;
-            let report =
-                scenario::run_mp3_sequence(seq, &config, seed).expect("table 3 scenario runs");
+            let report = Workload::Mp3(seq.to_string())
+                .run(&config, seed, Attachments::default())
+                .expect("table 3 scenario runs");
             println!(
                 "{:<9} {:<13} {:>11.3} {:>12.3} {:>10}",
                 seq,

@@ -7,7 +7,7 @@
 //! the change-point algorithm achieves significant savings with a very
 //! small delay penalty.
 
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 
 struct Row {
     clip: String,
@@ -37,8 +37,9 @@ fn main() {
         for (name, governor) in bench::table_governors() {
             let config = bench::dvs_only(governor);
             let seed = bench::EXPERIMENT_SEED + 100 + ci as u64;
-            let report =
-                scenario::run_mpeg_clip(clip, &config, seed).expect("table 4 scenario runs");
+            let report = Workload::Mpeg((*clip).into())
+                .run(&config, seed, Attachments::default())
+                .expect("table 4 scenario runs");
             println!(
                 "{:<12} {:<13} {:>11.3} {:>12.3} {:>10}",
                 clip,

@@ -7,7 +7,7 @@
 //! alone contributing a smaller factor.
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 use simcore::par::{par_map_indexed, Jobs};
 
 struct Row {
@@ -53,7 +53,9 @@ fn main() {
             dpm: dpm.clone(),
             ..SystemConfig::default()
         };
-        scenario::run_session(&config, bench::EXPERIMENT_SEED).expect("table 5 runs")
+        Workload::Session
+            .run(&config, bench::EXPERIMENT_SEED, Attachments::default())
+            .expect("table 5 runs")
     });
     let baseline = reports[0].total_energy_kj();
     let mut rows: Vec<Row> = Vec::new();

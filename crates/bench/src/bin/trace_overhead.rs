@@ -26,7 +26,7 @@
 
 use bench::EXPERIMENT_SEED;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 use simcore::json::ToJson;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -41,6 +41,14 @@ fn config() -> SystemConfig {
             state: dpm::policy::SleepState::Standby,
         },
         ..SystemConfig::default()
+    }
+}
+
+/// A run recording into `sink`.
+fn traced(sink: &mut dyn TraceSink) -> Attachments<'_> {
+    Attachments {
+        sink: Some(sink),
+        ..Attachments::default()
     }
 }
 
@@ -67,33 +75,43 @@ fn main() -> ExitCode {
         "tracing hot-path cost vs untraced baseline",
     );
 
-    let (t_off, r_off) =
-        min_time(|| scenario::run_mp3_sequence("AB", &cfg, seed).expect("untraced run"));
+    let workload = Workload::Mp3("AB".to_owned());
+    let (t_off, r_off) = min_time(|| {
+        workload
+            .run(&cfg, seed, Attachments::default())
+            .expect("untraced run")
+    });
     let (t_null, r_null) = min_time(|| {
         let mut sink = NullSink;
-        scenario::run_mp3_sequence_traced("AB", &cfg, seed, &mut sink).expect("null-sink run")
+        workload
+            .run(&cfg, seed, traced(&mut sink))
+            .expect("null-sink run")
     });
     let (t_ring, (r_ring, ring)) = min_time(|| {
         let mut sink = RingSink::new(1 << 16);
-        let r =
-            scenario::run_mp3_sequence_traced("AB", &cfg, seed, &mut sink).expect("ring-sink run");
+        let r = workload
+            .run(&cfg, seed, traced(&mut sink))
+            .expect("ring-sink run");
         (r, sink)
     });
     let (t_jsonl, (r_jsonl, jsonl)) = min_time(|| {
         let mut sink = JsonlSink::new(Vec::with_capacity(1 << 20));
-        let r = scenario::run_mp3_sequence_traced("AB", &cfg, seed, &mut sink).expect("jsonl run");
+        let r = workload
+            .run(&cfg, seed, traced(&mut sink))
+            .expect("jsonl run");
         sink.finish().expect("in-memory write");
         (r, sink.into_inner())
     });
-    let workload = scenario::Workload::Mp3("AB".to_owned());
-    let shared = powermgr::SharedResources::default();
     let (t_mon, mut r_mon) = min_time(|| {
         let mut sink = RingSink::new(1 << 16);
         let mut monitor =
             trace::AssertionMonitor::new(&trace::AssertionConfig::paper()).expect("valid config");
-        workload
-            .run_observed(&cfg, seed, &shared, Some(&mut sink), Some(&mut monitor))
-            .expect("monitored run")
+        let attach = Attachments {
+            shared: None,
+            sink: Some(&mut sink),
+            monitor: Some(&mut monitor),
+        };
+        workload.run(&cfg, seed, attach).expect("monitored run")
     });
 
     assert!(

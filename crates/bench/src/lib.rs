@@ -152,9 +152,9 @@ pub fn init_jobs_from_args() -> usize {
 /// stack, one independent run per seed.
 pub mod chaos {
     use faults::FaultSpec;
-    use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
+    use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
     use powermgr::metrics::ModeKey;
-    use powermgr::scenario;
+    use powermgr::scenario::{Attachments, Workload};
     use simcore::json::ToJson;
     use simcore::par::{par_map_range, Jobs};
     use simcore::rng::SimRng;
@@ -207,14 +207,11 @@ pub mod chaos {
     });
 
     fn chaos_config(spec: FaultSpec) -> SystemConfig {
-        SystemConfig {
-            governor: GovernorKind::quick_change_point(),
-            dpm: DpmKind::None,
-            faults: Some(spec),
-            supervisor: Some(SupervisorConfig::default()),
-            buffer_capacity: Some(64),
-            ..SystemConfig::default()
-        }
+        SystemConfig::with_faults(
+            GovernorKind::quick_change_point(),
+            DpmKind::None,
+            Some(spec),
+        )
     }
 
     /// Runs one chaos seed and checks the harness invariants: frame
@@ -229,7 +226,8 @@ pub mod chaos {
     pub fn run_seed(seed: u64) -> Result<ChaosRow, String> {
         let mut rng = SimRng::seed_from(seed).fork("chaos-spec");
         let spec = FaultSpec::randomized(&mut rng);
-        let report = scenario::run_mp3_sequence(LABELS, &chaos_config(spec.clone()), seed)
+        let report = Workload::Mp3(LABELS.into())
+            .run(&chaos_config(spec.clone()), seed, Attachments::default())
             .map_err(|e| e.to_string())?;
 
         // Invariant checks (mirrors tests/chaos.rs, but reported not
@@ -254,7 +252,8 @@ pub mod chaos {
         if !(0.0..=1.0).contains(&r.deadline_miss_ratio()) {
             violations += 1;
         }
-        let replay = scenario::run_mp3_sequence(LABELS, &chaos_config(spec), seed);
+        let replay =
+            Workload::Mp3(LABELS.into()).run(&chaos_config(spec), seed, Attachments::default());
         match replay {
             Ok(b) if b.to_json().dump() == report.to_json().dump() => {}
             _ => violations += 1,

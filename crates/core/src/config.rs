@@ -407,7 +407,32 @@ impl Default for SystemConfig {
     }
 }
 
+/// Frame-buffer capacity that comes with a fault preset.
+const FAULT_BUFFER_FRAMES: usize = 64;
+
 impl SystemConfig {
+    /// The paper's configuration for `governor` and `dpm` under
+    /// `faults`. Any fault spec brings the graceful-degradation
+    /// supervisor and a bounded 64-frame buffer (what makes drop
+    /// accounting meaningful), so the reaction side of the fault model
+    /// is exercised too; `None` is the clean run.
+    #[must_use]
+    pub fn with_faults(
+        governor: GovernorKind,
+        dpm: DpmKind,
+        faults: Option<faults::FaultSpec>,
+    ) -> SystemConfig {
+        let faulted = faults.is_some();
+        SystemConfig {
+            governor,
+            dpm,
+            faults,
+            supervisor: faulted.then(SupervisorConfig::default),
+            buffer_capacity: faulted.then_some(FAULT_BUFFER_FRAMES),
+            ..SystemConfig::default()
+        }
+    }
+
     /// The idle-period distribution used to solve stochastic DPM
     /// policies: a short-gap/session-gap mixture.
     ///

@@ -26,8 +26,9 @@
 //! * [`system`] — the event-driven full-system simulator,
 //! * [`metrics`] — the report every experiment produces,
 //! * [`config`] — experiment configuration,
-//! * [`scenario`] — canned paper scenarios (Table 3 sequences, Table 4
-//!   clips, the Table 5 session).
+//! * [`scenario`] — the one way to run a simulation: a workload (Table 3
+//!   sequences, Table 4 clips, the Table 5 session) or a prepared trace,
+//!   with optional attachments.
 //!
 //! # Example
 //!
@@ -36,7 +37,7 @@
 //!
 //! ```
 //! use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-//! use powermgr::scenario;
+//! use powermgr::scenario::{Attachments, Workload};
 //!
 //! # fn main() -> Result<(), powermgr::PmError> {
 //! let config = SystemConfig {
@@ -44,7 +45,8 @@
 //!     dpm: DpmKind::None,
 //!     ..SystemConfig::default()
 //! };
-//! let report = scenario::run_mp3_sequence("ACEFBD", &config, 7)?;
+//! let workload = Workload::Mp3("ACEFBD".into());
+//! let report = workload.run(&config, 7, Attachments::default())?;
 //! assert!(report.total_energy_j() > 0.0);
 //! assert!(report.mean_frame_delay_s() < 1.0);
 //! # Ok(())

@@ -1,21 +1,30 @@
-//! Canned paper scenarios.
+//! Running the paper's scenarios.
 //!
-//! One function per experiment family, so tests, examples and the bench
-//! harness all run the *same* code paths:
+//! Every experiment the paper reports (Tables 3–5) is one simulation of
+//! one frame trace under one configuration, so there is one way to run
+//! it: [`run_trace`], or [`Workload::run`], which generates a named
+//! workload's trace first. What varies between callers is carried by
+//! [`Attachments`]: pre-resolved shared resources, a trace sink, and an
+//! assertion monitor, all optional. None of them perturbs the
+//! simulation, and with none attached the run takes the monomorphized
+//! untraced kernel path.
 //!
-//! * [`run_mp3_sequence`] — a Table 3 cell (one MP3 sequence under one
+//! [`Workload`] names the paper's three experiment families:
+//!
+//! * `mp3:<labels>` — a Table 3 cell (one MP3 sequence under one
 //!   governor),
-//! * [`run_mpeg_clip`] — a Table 4 cell,
-//! * [`run_session`] — a Table 5 cell (the mixed audio/video session
-//!   with idle gaps, under DVS and/or DPM).
+//! * `mpeg:<clip>` — a Table 4 cell,
+//! * `session` — a Table 5 cell (the mixed audio/video session with
+//!   idle gaps, under DVS and/or DPM).
 
 use crate::config::SystemConfig;
 use crate::metrics::SimReport;
+use crate::resolve::SharedResources;
 use crate::system::SystemSimulator;
 use crate::PmError;
 use simcore::rng::SimRng;
 use std::fmt;
-use trace::TraceSink;
+use trace::{AssertionMonitor, TraceSink};
 use workload::session::Session;
 use workload::{mp3, MpegClip, Trace};
 
@@ -74,86 +83,19 @@ impl Workload {
         }
     }
 
-    /// Runs this workload under `config` at `seed`.
+    /// Runs this workload under `config` at `seed`: [`run_trace`] over
+    /// [`Self::build`]'s trace.
     ///
     /// # Errors
     ///
     /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run(&self, config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-        match self {
-            Workload::Mp3(labels) => run_mp3_sequence(labels, config, seed),
-            Workload::Mpeg(clip) => run_mpeg_clip(clip, config, seed),
-            Workload::Session => run_session(config, seed),
-        }
-    }
-
-    /// [`Self::run`], recording structured events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_traced(
+    pub fn run(
         &self,
         config: &SystemConfig,
         seed: u64,
-        sink: &mut dyn TraceSink,
+        attach: Attachments<'_>,
     ) -> Result<SimReport, PmError> {
-        match self {
-            Workload::Mp3(labels) => run_mp3_sequence_traced(labels, config, seed, sink),
-            Workload::Mpeg(clip) => run_mpeg_clip_traced(clip, config, seed, sink),
-            Workload::Session => run_session_traced(config, seed, sink),
-        }
-    }
-
-    /// [`Self::run`] from pre-resolved shared resources
-    /// ([`crate::resolve::SharedResources`]) — same trace, same report,
-    /// zero threshold-cache traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_shared(
-        &self,
-        config: &SystemConfig,
-        seed: u64,
-        shared: &crate::resolve::SharedResources,
-    ) -> Result<SimReport, PmError> {
-        run_trace_shared(&self.build(seed)?, config, seed, shared)
-    }
-
-    /// [`Self::run_shared`], recording structured events into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_traced_shared(
-        &self,
-        config: &SystemConfig,
-        seed: u64,
-        shared: &crate::resolve::SharedResources,
-        sink: &mut dyn TraceSink,
-    ) -> Result<SimReport, PmError> {
-        run_trace_traced_shared(&self.build(seed)?, config, seed, shared, sink)
-    }
-
-    /// The fully general run: optional event sink, optional streaming
-    /// assertion monitor. With both `None` this is exactly
-    /// [`Self::run_shared`] (the monomorphized untraced fast path);
-    /// with a monitor attached the report carries
-    /// [`SimReport::assertions`](crate::metrics::SimReport).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown clip labels or invalid configuration.
-    pub fn run_observed(
-        &self,
-        config: &SystemConfig,
-        seed: u64,
-        shared: &crate::resolve::SharedResources,
-        sink: Option<&mut dyn TraceSink>,
-        monitor: Option<&mut trace::AssertionMonitor>,
-    ) -> Result<SimReport, PmError> {
-        run_trace_observed(&self.build(seed)?, config, seed, shared, sink, monitor)
+        run_trace(&self.build(seed)?, config, seed, attach)
     }
 }
 
@@ -169,24 +111,33 @@ impl fmt::Display for Workload {
     }
 }
 
-/// Generates the workload trace for one MP3 listening sequence
-/// (e.g. `"ACEFBD"`) exactly as [`run_mp3_sequence`] would.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip labels.
-pub fn build_mp3_sequence(labels: &str, seed: u64) -> Result<Trace, PmError> {
+/// The optional extras of one run. `Attachments::default()` is the
+/// plain run: thresholds resolved through the process-wide cache, no
+/// sink, no monitor, the untraced kernel path.
+#[derive(Default)]
+pub struct Attachments<'a> {
+    /// Pre-resolved shared resources — the fleet engine's cohort path.
+    /// Bit-identical to resolving through the cache when they were
+    /// resolved from the run's config.
+    pub shared: Option<&'a SharedResources>,
+    /// Records the run's structured events. The report is bit-identical
+    /// to the untraced run's.
+    pub sink: Option<&'a mut dyn TraceSink>,
+    /// Checks invariants as the run streams; the report then carries
+    /// [`SimReport::assertions`]. Monitoring alone takes the traced
+    /// kernel path, since the monitor must see every event.
+    pub monitor: Option<&'a mut AssertionMonitor>,
+}
+
+/// Generates the trace of one MP3 listening sequence (e.g. `"ACEFBD"`).
+fn build_mp3_sequence(labels: &str, seed: u64) -> Result<Trace, PmError> {
     let mut rng = SimRng::seed_from(seed).fork("mp3-sequence");
     Ok(mp3::sequence(labels, &mut rng)?)
 }
 
-/// Generates the workload trace for one MPEG clip (`"football"` or
-/// `"terminator2"`) exactly as [`run_mpeg_clip`] would.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip names.
-pub fn build_mpeg_clip(name: &str, seed: u64) -> Result<Trace, PmError> {
+/// Generates the trace of one MPEG clip (`"football"` or
+/// `"terminator2"`).
+fn build_mpeg_clip(name: &str, seed: u64) -> Result<Trace, PmError> {
     let clip = match name {
         "football" => MpegClip::football(),
         "terminator2" => MpegClip::terminator2(),
@@ -201,195 +152,37 @@ pub fn build_mpeg_clip(name: &str, seed: u64) -> Result<Trace, PmError> {
     Ok(clip.generate(&mut rng))
 }
 
-/// Generates the canonical Table 5 mixed-session trace exactly as
-/// [`run_session`] would.
-///
-/// # Errors
-///
-/// Returns an error if session generation fails.
-pub fn build_session(seed: u64) -> Result<Trace, PmError> {
+/// Generates the canonical Table 5 mixed-session trace.
+fn build_session(seed: u64) -> Result<Trace, PmError> {
     let mut rng = SimRng::seed_from(seed).fork("session");
     let session = Session::table5(&mut rng);
     Ok(session.generate(&mut rng)?)
 }
 
-/// Runs one MP3 listening sequence (e.g. `"ACEFBD"`) under `config`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip labels or invalid configuration.
-pub fn run_mp3_sequence(
-    labels: &str,
-    config: &SystemConfig,
-    seed: u64,
-) -> Result<SimReport, PmError> {
-    run_trace(&build_mp3_sequence(labels, seed)?, config, seed)
-}
-
-/// [`run_mp3_sequence`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip labels or invalid configuration.
-pub fn run_mp3_sequence_traced(
-    labels: &str,
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    run_trace_traced(&build_mp3_sequence(labels, seed)?, config, seed, sink)
-}
-
-/// Runs one MPEG clip (`"football"` or `"terminator2"`) under `config`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip names or invalid configuration.
-pub fn run_mpeg_clip(name: &str, config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-    run_trace(&build_mpeg_clip(name, seed)?, config, seed)
-}
-
-/// [`run_mpeg_clip`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for unknown clip names or invalid configuration.
-pub fn run_mpeg_clip_traced(
-    name: &str,
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    run_trace_traced(&build_mpeg_clip(name, seed)?, config, seed, sink)
-}
-
-/// Runs the canonical Table 5 mixed session under `config`.
+/// Runs a prepared trace under `config`, seeding every stochastic
+/// element from `seed`, with `attach`'s extras.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid configuration.
-pub fn run_session(config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-    run_trace(&build_session(seed)?, config, seed)
-}
-
-/// [`run_session`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_session_traced(
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    run_trace_traced(&build_session(seed)?, config, seed, sink)
-}
-
-/// Runs an arbitrary prepared trace under `config`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace(trace: &Trace, config: &SystemConfig, seed: u64) -> Result<SimReport, PmError> {
-    SystemSimulator::new(trace, config.clone(), seed)?.run(trace.end())
-}
-
-/// [`run_trace`], additionally returning the number of events the
-/// simulation kernel processed — the denominator the hot-path
-/// throughput benchmark uses. The report is identical to
-/// [`run_trace`]'s; with no sink attached the run takes the
-/// monomorphized untraced fast path.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_counted(
+pub fn run_trace(
     trace: &Trace,
     config: &SystemConfig,
     seed: u64,
-) -> Result<(SimReport, u64), PmError> {
-    SystemSimulator::new(trace, config.clone(), seed)?.run_counted(trace.end())
-}
-
-/// [`run_trace`] from pre-resolved shared resources — the fleet
-/// engine's cohort path. Bit-identical to [`run_trace`] when the
-/// resources were resolved from `config`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_shared(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    shared: &crate::resolve::SharedResources,
+    attach: Attachments<'_>,
 ) -> Result<SimReport, PmError> {
-    SystemSimulator::new_shared(trace, config.clone(), seed, shared)?.run(trace.end())
-}
-
-/// [`run_trace_shared`], recording structured events into `sink`.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_traced_shared(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    shared: &crate::resolve::SharedResources,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    SystemSimulator::new_traced_shared(trace, config.clone(), seed, shared, sink)?.run(trace.end())
-}
-
-/// [`run_trace_shared`] with an optional sink and an optional
-/// streaming [`trace::AssertionMonitor`] — the superset entry point the
-/// CLI and the fleet engine share. Neither attachment perturbs the
-/// simulation: the report's numbers are bit-identical across all four
-/// combinations, and `assertions` is populated exactly when a monitor
-/// is attached.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_observed(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    shared: &crate::resolve::SharedResources,
-    sink: Option<&mut dyn TraceSink>,
-    monitor: Option<&mut trace::AssertionMonitor>,
-) -> Result<SimReport, PmError> {
-    match (sink, monitor) {
-        (None, None) => run_trace_shared(trace, config, seed, shared),
-        (Some(sink), None) => run_trace_traced_shared(trace, config, seed, shared, sink),
-        (None, Some(monitor)) => {
-            let mut sim = SystemSimulator::new_shared(trace, config.clone(), seed, shared)?;
-            sim.attach_monitor(monitor);
-            sim.run(trace.end())
+    let resolve_through_cache = SharedResources::default();
+    let shared = attach.shared.unwrap_or(&resolve_through_cache);
+    let mut sim = match attach.sink {
+        Some(sink) => {
+            SystemSimulator::new_traced_shared(trace, config.clone(), seed, shared, sink)?
         }
-        (Some(sink), Some(monitor)) => {
-            let mut sim =
-                SystemSimulator::new_traced_shared(trace, config.clone(), seed, shared, sink)?;
-            sim.attach_monitor(monitor);
-            sim.run(trace.end())
-        }
+        None => SystemSimulator::new_shared(trace, config.clone(), seed, shared)?,
+    };
+    if let Some(monitor) = attach.monitor {
+        sim.attach_monitor(monitor);
     }
-}
-
-/// [`run_trace`], recording structured events into `sink`. The traced
-/// run is bit-identical to the untraced one in every reported number.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration.
-pub fn run_trace_traced(
-    trace: &Trace,
-    config: &SystemConfig,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<SimReport, PmError> {
-    SystemSimulator::new_traced(trace, config.clone(), seed, sink)?.run(trace.end())
+    sim.run(trace.end())
 }
 
 #[cfg(test)]
@@ -397,6 +190,7 @@ mod tests {
     use super::*;
     use crate::config::{DpmKind, GovernorKind};
     use dpm::policy::SleepState;
+    use simcore::json::ToJson;
 
     fn cfg(governor: GovernorKind, dpm: DpmKind) -> SystemConfig {
         SystemConfig {
@@ -404,6 +198,13 @@ mod tests {
             dpm,
             ..SystemConfig::default()
         }
+    }
+
+    fn run(workload: &str, config: &SystemConfig, seed: u64) -> SimReport {
+        Workload::parse(workload)
+            .unwrap()
+            .run(config, seed, Attachments::default())
+            .unwrap()
     }
 
     #[test]
@@ -415,18 +216,22 @@ mod tests {
         for bad in ["mp3:", "mpeg:matrix", "vhs:ghostbusters", ""] {
             assert!(Workload::parse(bad).is_err(), "{bad}");
         }
-        // Workload::run is the same code path as the free functions.
-        use simcore::json::ToJson;
+        // Workload::run is run_trace over the built trace.
         let config = cfg(GovernorKind::MaxPerformance, DpmKind::None);
-        let via_enum = Workload::parse("mp3:A").unwrap().run(&config, 5).unwrap();
-        let direct = run_mp3_sequence("A", &config, 5).unwrap();
+        let workload = Workload::parse("mp3:A").unwrap();
+        let via_enum = workload.run(&config, 5, Attachments::default()).unwrap();
+        let trace = workload.build(5).unwrap();
+        let direct = run_trace(&trace, &config, 5, Attachments::default()).unwrap();
         assert_eq!(via_enum.to_json().dump(), direct.to_json().dump());
     }
 
     #[test]
     fn mp3_sequence_runs_and_labels_match() {
-        let report =
-            run_mp3_sequence("AF", &cfg(GovernorKind::MaxPerformance, DpmKind::None), 11).unwrap();
+        let report = run(
+            "mp3:AF",
+            &cfg(GovernorKind::MaxPerformance, DpmKind::None),
+            11,
+        );
         assert_eq!(report.governor, "max");
         assert_eq!(report.dpm, "none");
         assert!(report.frames_completed > 1000);
@@ -434,17 +239,28 @@ mod tests {
 
     #[test]
     fn unknown_clip_is_rejected() {
-        assert!(run_mpeg_clip("matrix", &SystemConfig::default(), 0).is_err());
-        assert!(run_mp3_sequence("XYZ", &SystemConfig::default(), 0).is_err());
+        let config = SystemConfig::default();
+        for workload in [Workload::Mpeg("matrix".into()), Workload::Mp3("XYZ".into())] {
+            assert!(workload.run(&config, 0, Attachments::default()).is_err());
+        }
     }
 
     #[test]
     fn traced_scenario_matches_untraced() {
-        use simcore::json::ToJson;
         let config = cfg(GovernorKind::Ideal, DpmKind::None);
-        let plain = run_mp3_sequence("A", &config, 19).unwrap();
+        let plain = run("mp3:A", &config, 19);
         let mut sink = trace::RingSink::new(1 << 16);
-        let traced = run_mp3_sequence_traced("A", &config, 19, &mut sink).unwrap();
+        let traced = Workload::parse("mp3:A")
+            .unwrap()
+            .run(
+                &config,
+                19,
+                Attachments {
+                    sink: Some(&mut sink),
+                    ..Attachments::default()
+                },
+            )
+            .unwrap();
         assert_eq!(plain.to_json().dump(), traced.to_json().dump());
         let summary = trace::replay(&sink.events());
         assert_eq!(summary.frames_completed, traced.frames_completed);
@@ -452,18 +268,36 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_run_and_attaches_assertions() {
-        use simcore::json::ToJson;
         let config = cfg(GovernorKind::quick_change_point(), DpmKind::None);
-        let shared = crate::resolve::SharedResources::default();
+        let shared = SharedResources::resolve(&config).unwrap();
         let workload = Workload::parse("mp3:AB").unwrap();
-        let plain = workload.run(&config, 7).unwrap();
+        let plain = workload.run(&config, 7, Attachments::default()).unwrap();
+        let cohort = workload
+            .run(
+                &config,
+                7,
+                Attachments {
+                    shared: Some(&shared),
+                    ..Attachments::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(plain.to_json().dump(), cohort.to_json().dump());
 
-        // Neither attachment may perturb the simulation.
+        // Neither a sink nor a monitor may perturb the simulation.
         let assert_config = trace::AssertionConfig::paper();
         let mut monitor = trace::AssertionMonitor::new(&assert_config).unwrap();
         let mut sink = trace::RingSink::new(1 << 20);
         let observed = workload
-            .run_observed(&config, 7, &shared, Some(&mut sink), Some(&mut monitor))
+            .run(
+                &config,
+                7,
+                Attachments {
+                    shared: Some(&shared),
+                    sink: Some(&mut sink),
+                    monitor: Some(&mut monitor),
+                },
+            )
             .unwrap();
         let assertions = observed.assertions.expect("monitor attached");
         let mut stripped = observed.clone();
@@ -474,7 +308,14 @@ mod tests {
         // reaches the same verdict.
         let mut solo = trace::AssertionMonitor::new(&assert_config).unwrap();
         let monitored = workload
-            .run_observed(&config, 7, &shared, None, Some(&mut solo))
+            .run(
+                &config,
+                7,
+                Attachments {
+                    monitor: Some(&mut solo),
+                    ..Attachments::default()
+                },
+            )
             .unwrap();
         assert_eq!(
             monitored.assertions.unwrap().to_json().dump(),
@@ -490,36 +331,32 @@ mod tests {
 
     #[test]
     fn ideal_beats_max_on_mp3_sequence() {
-        let max =
-            run_mp3_sequence("AF", &cfg(GovernorKind::MaxPerformance, DpmKind::None), 12).unwrap();
-        let ideal = run_mp3_sequence("AF", &cfg(GovernorKind::Ideal, DpmKind::None), 12).unwrap();
+        let max = run(
+            "mp3:AF",
+            &cfg(GovernorKind::MaxPerformance, DpmKind::None),
+            12,
+        );
+        let ideal = run("mp3:AF", &cfg(GovernorKind::Ideal, DpmKind::None), 12);
         assert!(ideal.total_energy_j() < max.total_energy_j());
     }
 
     #[test]
     fn session_with_both_beats_either_alone() {
-        let neither = run_session(&cfg(GovernorKind::MaxPerformance, DpmKind::None), 13).unwrap();
-        let dvs_only = run_session(&cfg(GovernorKind::Ideal, DpmKind::None), 13).unwrap();
-        let dpm_only = run_session(
-            &cfg(
-                GovernorKind::MaxPerformance,
-                DpmKind::BreakEven {
-                    state: SleepState::Standby,
-                },
-            ),
+        let standby = DpmKind::BreakEven {
+            state: SleepState::Standby,
+        };
+        let neither = run(
+            "session",
+            &cfg(GovernorKind::MaxPerformance, DpmKind::None),
             13,
-        )
-        .unwrap();
-        let both = run_session(
-            &cfg(
-                GovernorKind::Ideal,
-                DpmKind::BreakEven {
-                    state: SleepState::Standby,
-                },
-            ),
+        );
+        let dvs_only = run("session", &cfg(GovernorKind::Ideal, DpmKind::None), 13);
+        let dpm_only = run(
+            "session",
+            &cfg(GovernorKind::MaxPerformance, standby.clone()),
             13,
-        )
-        .unwrap();
+        );
+        let both = run("session", &cfg(GovernorKind::Ideal, standby), 13);
         assert!(dvs_only.total_energy_j() < neither.total_energy_j());
         assert!(dpm_only.total_energy_j() < neither.total_energy_j());
         assert!(both.total_energy_j() < dvs_only.total_energy_j());

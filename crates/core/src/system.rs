@@ -265,24 +265,10 @@ pub struct SystemSimulator<'t> {
 impl<'t> SystemSimulator<'t> {
     /// Creates a simulator for `trace` under `config`, seeding all
     /// stochastic elements (wake-up latencies, randomized DPM timeouts)
-    /// from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the power manager rejects the configuration.
-    pub fn new(trace: &'t Trace, config: SystemConfig, seed: u64) -> Result<Self, PmError> {
-        Self::new_shared(
-            trace,
-            config,
-            seed,
-            &crate::resolve::SharedResources::default(),
-        )
-    }
-
-    /// [`Self::new`] from pre-resolved shared resources
-    /// ([`crate::resolve::SharedResources`]) — the cohort-batch
-    /// constructor. Bit-identical to [`Self::new`] in every report and
-    /// random stream when the resources match the configuration.
+    /// from `seed`. A change-point governor takes its threshold table
+    /// from `shared` when present and resolves it through the
+    /// process-wide cache otherwise; the simulation is bit-identical
+    /// either way when the resources were resolved from `config`.
     ///
     /// # Errors
     ///
@@ -356,27 +342,9 @@ impl<'t> SystemSimulator<'t> {
         })
     }
 
-    /// Creates a simulator that records structured [`TraceEvent`]s into
-    /// `sink` as it runs. Identical to [`SystemSimulator::new`] in every
-    /// other respect: the event sequence, report, and random streams of
-    /// a traced run match the untraced run bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the power manager rejects the configuration.
-    pub fn new_traced(
-        trace: &'t Trace,
-        config: SystemConfig,
-        seed: u64,
-        sink: &'t mut dyn TraceSink,
-    ) -> Result<Self, PmError> {
-        let mut sim = SystemSimulator::new(trace, config, seed)?;
-        sim.sink = Some(sink);
-        Ok(sim)
-    }
-
-    /// [`Self::new_traced`] from pre-resolved shared resources — see
-    /// [`Self::new_shared`].
+    /// [`Self::new_shared`], recording structured [`TraceEvent`]s into
+    /// `sink` as it runs. The event sequence, report, and random streams
+    /// of a traced run match the untraced run bit for bit.
     ///
     /// # Errors
     ///
@@ -987,13 +955,14 @@ impl<'t> SystemSimulator<'t> {
 mod tests {
     use super::*;
     use crate::config::{DpmKind, GovernorKind};
+    use crate::resolve::SharedResources;
     use workload::Mp3Clip;
 
     fn run(config: SystemConfig, seed: u64) -> SimReport {
         let mut rng = SimRng::seed_from(seed);
         let trace = Mp3Clip::table2()[0].generate(&mut rng);
         let end = trace.end();
-        SystemSimulator::new(&trace, config, seed)
+        SystemSimulator::new_shared(&trace, config, seed, &SharedResources::default())
             .unwrap()
             .run(end)
             .unwrap()
@@ -1085,7 +1054,7 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        let report = SystemSimulator::new(&trace, config, 6)
+        let report = SystemSimulator::new_shared(&trace, config, 6, &SharedResources::default())
             .unwrap()
             .run(end)
             .unwrap();
@@ -1100,11 +1069,12 @@ mod tests {
         let b = Mp3Clip::table2()[5].generate(&mut rng);
         let trace = workload::Trace::sequence(&[a, b], SimDuration::from_secs(60));
         let end = trace.end();
-        let no_dpm = SystemSimulator::new(&trace, max_config(), 7)
-            .unwrap()
-            .run(end)
-            .unwrap();
-        let with_dpm = SystemSimulator::new(
+        let no_dpm =
+            SystemSimulator::new_shared(&trace, max_config(), 7, &SharedResources::default())
+                .unwrap()
+                .run(end)
+                .unwrap();
+        let with_dpm = SystemSimulator::new_shared(
             &trace,
             SystemConfig {
                 governor: GovernorKind::MaxPerformance,
@@ -1114,6 +1084,7 @@ mod tests {
                 ..SystemConfig::default()
             },
             7,
+            &SharedResources::default(),
         )
         .unwrap()
         .run(end)
@@ -1323,15 +1294,22 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        let untraced = SystemSimulator::new(&clip, config.clone(), 21)
-            .unwrap()
-            .run(end)
-            .unwrap();
+        let untraced =
+            SystemSimulator::new_shared(&clip, config.clone(), 21, &SharedResources::default())
+                .unwrap()
+                .run(end)
+                .unwrap();
         let mut sink = RingSink::new(1 << 16);
-        let traced = SystemSimulator::new_traced(&clip, config, 21, &mut sink)
-            .unwrap()
-            .run(end)
-            .unwrap();
+        let traced = SystemSimulator::new_traced_shared(
+            &clip,
+            config,
+            21,
+            &SharedResources::default(),
+            &mut sink,
+        )
+        .unwrap()
+        .run(end)
+        .unwrap();
         // Attaching a sink must not perturb the simulation at all.
         assert_eq!(untraced.to_json().dump(), traced.to_json().dump());
         assert_eq!(sink.dropped(), 0, "ring under-sized for this clip");

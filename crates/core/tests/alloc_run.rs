@@ -11,7 +11,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{self, Attachments};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,26 +63,31 @@ fn full_run_allocations_do_not_scale_with_workload() {
     };
     // Traces are pre-built: arrival generation is part of workload
     // construction, not of the measured run.
-    let short = scenario::build_mp3_sequence("A", 42).expect("golden labels");
-    let long = scenario::build_mp3_sequence("ABC", 42).expect("golden labels");
+    let short = scenario::Workload::Mp3("A".into())
+        .build(42)
+        .expect("golden labels");
+    let long = scenario::Workload::Mp3("ABC".into())
+        .build(42)
+        .expect("golden labels");
     assert!(
         long.frames().len() > 2 * short.frames().len(),
         "the long trace must carry materially more events"
     );
 
     // Warm-up: first run pays any lazy one-time setup.
-    let warm = scenario::run_trace(&short, &config, 42).expect("warm run");
+    let warm = scenario::run_trace(&short, &config, 42, Attachments::default()).expect("warm run");
     assert!(warm.frames_completed > 0);
 
     let mut short_allocs = 0;
     let n_short = count_allocs(|| {
-        let r = scenario::run_trace(&short, &config, 42).expect("short run");
+        let r =
+            scenario::run_trace(&short, &config, 42, Attachments::default()).expect("short run");
         short_allocs = r.frames_completed;
         std::hint::black_box(&r);
     });
     let mut long_frames = 0;
     let n_long = count_allocs(|| {
-        let r = scenario::run_trace(&long, &config, 42).expect("long run");
+        let r = scenario::run_trace(&long, &config, 42, Attachments::default()).expect("long run");
         long_frames = r.frames_completed;
         std::hint::black_box(&r);
     });

@@ -4,7 +4,7 @@
 use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::metrics::ModeKey;
-use powermgr::scenario;
+use powermgr::scenario::{self, Attachments};
 use proptest::prelude::*;
 use simcore::rng::SimRng;
 use workload::schedule::RateSchedule;
@@ -36,7 +36,9 @@ fn energy_within_physical_bounds() {
         ),
     ];
     for (i, config) in configs.into_iter().enumerate() {
-        let report = scenario::run_mp3_sequence("AD", &config, 100 + i as u64).expect("runs");
+        let report = scenario::Workload::Mp3("AD".into())
+            .run(&config, 100 + i as u64, Attachments::default())
+            .expect("runs");
         // Max possible: MPEG decode profile at top op (822 mW) the whole time;
         // MP3 peaks at 530 mW. Use the system-wide ceiling.
         let ceiling = 0.99 * report.duration_secs; // ~990 mW × duration
@@ -55,8 +57,12 @@ fn overload_boost_caps_backlog() {
         overload_boost_depth: Some(10),
         ..no_boost.clone()
     };
-    let plain = scenario::run_mpeg_clip("football", &no_boost, seed).expect("runs");
-    let capped = scenario::run_mpeg_clip("football", &boosted, seed).expect("runs");
+    let plain = scenario::Workload::Mpeg("football".into())
+        .run(&no_boost, seed, Attachments::default())
+        .expect("runs");
+    let capped = scenario::Workload::Mpeg("football".into())
+        .run(&boosted, seed, Attachments::default())
+        .expect("runs");
     assert!(
         capped.frame_delays.max() <= plain.frame_delays.max() + 1e-9,
         "boost must not worsen the delay tail: {:.3} vs {:.3}",
@@ -77,8 +83,13 @@ fn overload_degrades_gracefully() {
     let clip = MpegClip::new("overload", arrival, service);
     let mut rng = SimRng::seed_from(5);
     let trace = clip.generate(&mut rng);
-    let report =
-        scenario::run_trace(&trace, &base(GovernorKind::Ideal, DpmKind::None), 5).expect("runs");
+    let report = scenario::run_trace(
+        &trace,
+        &base(GovernorKind::Ideal, DpmKind::None),
+        5,
+        Attachments::default(),
+    )
+    .expect("runs");
     assert_eq!(report.frames_completed, trace.frames().len() as u64);
     // The queue builds up: mean delay far exceeds the 0.1 s target.
     assert!(report.mean_frame_delay_s() > 0.5, "{report}");
@@ -98,6 +109,7 @@ fn empty_trace_is_pure_idle() {
         &trace,
         &base(GovernorKind::MaxPerformance, DpmKind::None),
         1,
+        Attachments::default(),
     )
     .expect("runs");
     assert_eq!(report.frames_completed, 0);
@@ -112,6 +124,7 @@ fn empty_trace_is_pure_idle() {
             },
         ),
         1,
+        Attachments::default(),
     )
     .expect("runs");
     assert!(with_dpm.total_energy_j() < 1.0, "{with_dpm}");
@@ -134,7 +147,7 @@ fn wake_path_costs_latency_and_is_accounted() {
             state: SleepState::Standby,
         },
     );
-    let report = scenario::run_trace(&trace, &config, 77).expect("runs");
+    let report = scenario::run_trace(&trace, &config, 77, Attachments::default()).expect("runs");
     assert!(report.wakes >= 1, "{report}");
     assert!(report.mode_secs(ModeKey::Waking) > 0.0, "{report}");
     // Nominal standby wake is 10 ms (uniform 5-15 ms per wake).
@@ -148,6 +161,7 @@ fn wake_path_costs_latency_and_is_accounted() {
         &trace,
         &base(GovernorKind::MaxPerformance, DpmKind::None),
         77,
+        Attachments::default(),
     )
     .expect("runs");
     assert_eq!(no_dpm.wakes, 0);
@@ -167,7 +181,8 @@ proptest! {
         let config = base(GovernorKind::Ideal, DpmKind::None);
         let mut rng = SimRng::seed_from(seed);
         let trace = Mp3Clip::table2()[clip].generate(&mut rng);
-        let report = scenario::run_trace(&trace, &config, seed).expect("runs");
+        let report = scenario::run_trace(&trace, &config, seed, Attachments::default())
+            .expect("runs");
         prop_assert_eq!(report.frame_delays.count(), report.frames_completed);
         prop_assert!(report.frame_delays.min() >= 0.0);
         prop_assert!(report.frame_delays.min() <= report.mean_frame_delay_s());

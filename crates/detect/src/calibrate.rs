@@ -33,7 +33,7 @@ use crate::likelihood::{maximize_kernel, RatioKernel};
 use crate::window::ScratchWindow;
 use crate::DetectError;
 use simcore::dist::{Exponential, Sample};
-use simcore::par::{par_map_range, Jobs, ParSpan};
+use simcore::par::{par_map_range, Jobs};
 use simcore::rng::SimRng;
 use simcore::stats::Histogram;
 use std::cell::RefCell;
@@ -196,48 +196,6 @@ impl ThresholdTable {
         Ok(ThresholdTable { config, entries })
     }
 
-    /// [`Self::calibrate_jobs`] with span profiling: enables the
-    /// parallel engine's worker profiling around the calibration and
-    /// returns a [`CalibrationProfile`] — the recorded [`ParSpan`]s
-    /// (per-worker wall time and item counts) plus the threshold-cache
-    /// hit/miss counts observed while the calibration ran — alongside
-    /// the table.
-    ///
-    /// Profiling is a process-global switch; spans recorded by other
-    /// concurrently profiled loops may appear in the result, and any
-    /// un-collected spans pending beforehand are discarded. The
-    /// calibration *result* is unaffected — identical to
-    /// [`Self::calibrate_jobs`] bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::calibrate`].
-    pub fn calibrate_profiled(
-        ratios: &[f64],
-        config: CalibrationConfig,
-        rng: &mut SimRng,
-        jobs: Jobs,
-    ) -> Result<(Self, CalibrationProfile), DetectError> {
-        let was_enabled = simcore::par::profiling_enabled();
-        simcore::par::set_profiling(true);
-        let _ = simcore::par::take_spans();
-        let (hits_before, misses_before) = crate::cache::cache_stats();
-        let result = Self::calibrate_jobs(ratios, config, rng, jobs);
-        let (hits_after, misses_after) = crate::cache::cache_stats();
-        let spans = simcore::par::take_spans();
-        simcore::par::set_profiling(was_enabled);
-        result.map(|table| {
-            (
-                table,
-                CalibrationProfile {
-                    spans,
-                    cache_hits: hits_after - hits_before,
-                    cache_misses: misses_after - misses_before,
-                },
-            )
-        })
-    }
-
     /// The calibration configuration this table was built with.
     #[must_use]
     pub fn config(&self) -> CalibrationConfig {
@@ -290,21 +248,6 @@ impl ThresholdTable {
             Err(DetectError::Uncalibrated { ratio, nearest })
         }
     }
-}
-
-/// Profiling data collected by [`ThresholdTable::calibrate_profiled`].
-#[derive(Debug, Clone)]
-pub struct CalibrationProfile {
-    /// Parallel-engine spans recorded while the calibration ran
-    /// (per-worker wall time and item counts).
-    pub spans: Vec<ParSpan>,
-    /// Threshold-cache hits observed process-wide during the
-    /// calibration — lets a bench attribute wins to the cache versus
-    /// the Monte-Carlo kernel itself.
-    pub cache_hits: u64,
-    /// Threshold-cache misses observed process-wide during the
-    /// calibration.
-    pub cache_misses: u64,
 }
 
 thread_local! {
@@ -454,35 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_calibration_matches_plain_and_yields_spans() {
-        let config = quick_config();
-        let plain = ThresholdTable::calibrate_jobs(
-            &[0.5, 2.0],
-            config,
-            &mut SimRng::seed_from(11),
-            Jobs::Count(2),
-        )
-        .unwrap();
-        let (profiled, profile) = ThresholdTable::calibrate_profiled(
-            &[0.5, 2.0],
-            config,
-            &mut SimRng::seed_from(11),
-            Jobs::Count(2),
-        )
-        .unwrap();
-        assert_eq!(plain, profiled, "profiling must not perturb the table");
-        let span = profile
-            .spans
-            .iter()
-            .find(|s| s.items == 2 * config.trials)
-            .expect("the calibration loop was profiled");
-        assert_eq!(
-            span.workers.iter().map(|w| w.items).sum::<usize>(),
-            span.items
-        );
-    }
-
-    #[test]
     fn optimized_trial_matches_reference_trial_bitwise() {
         // The zero-allocation kernel must reproduce the seed-era
         // allocating kernel exactly, bit for bit, for every ratio.
@@ -503,22 +417,6 @@ mod tests {
         let a = trial_statistic(2.0, other, root.fork_indexed("resize", 0));
         let b = reference_trial_statistic(2.0, other, root.fork_indexed("resize", 0));
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn profiled_calibration_reports_cache_traffic() {
-        let config = quick_config();
-        let (_, profile) = ThresholdTable::calibrate_profiled(
-            &[0.5, 2.0],
-            config,
-            &mut SimRng::seed_from(12),
-            Jobs::Count(1),
-        )
-        .unwrap();
-        // Direct calibration bypasses the cache; concurrent tests may
-        // add traffic, so only sanity-bound the deltas.
-        assert!(profile.cache_hits <= 1_000_000);
-        assert!(profile.cache_misses <= 1_000_000);
     }
 
     #[test]

@@ -426,23 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn identically_configured_detectors_hit_the_threshold_cache() {
-        // A config distinct from every other test's, so the first
-        // construction here is the calibrating one.
-        let config = ChangePointConfig {
-            calibration_seed: 0xCAC4_E100,
-            ..quick_config()
-        };
-        let a = ChangePointDetector::new(10.0, config.clone()).unwrap();
-        let (h0, m0) = crate::cache::cache_stats();
-        let b = ChangePointDetector::new(99.0, config).unwrap();
-        let (h1, m1) = crate::cache::cache_stats();
-        assert_eq!(m1, m0, "second construction must not recalibrate");
-        assert!(h1 > h0, "second construction must hit the cache");
-        assert!(std::ptr::eq(a.table(), b.table()), "one shared table");
-    }
-
-    #[test]
     fn name_is_stable() {
         let det = ChangePointDetector::new(10.0, quick_config()).unwrap();
         assert_eq!(det.name(), "change-point");

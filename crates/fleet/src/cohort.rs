@@ -1,4 +1,4 @@
-//! Structure-of-arrays cohort stepping for the fleet engine.
+//! Cohort resources and scheduling for the fleet engine.
 //!
 //! A fleet enumerates the `workloads × policies × faults` cross product
 //! round-robin, so consecutive device indices alternate between
@@ -274,7 +274,7 @@ mod tests {
 
     fn spec_with_policies(policies: Vec<PolicySpec>) -> FleetSpec {
         FleetSpec {
-            name: "soa-test".into(),
+            name: "cohort-test".into(),
             devices: 24,
             base_seed: 7,
             workloads: vec![Workload::Mp3("A".into()), Workload::Session],

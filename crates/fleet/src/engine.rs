@@ -10,7 +10,7 @@
 //!   other device or on scheduling. Retry attempts draw from their own
 //!   indexed forks ([`FleetSpec::retry_seed`]), so even a retried
 //!   device is a pure function of its index.
-//! * Devices are mapped with [`par_try_fold_range_batched`], which
+//! * Devices are mapped with [`par_try_fold_range_batched_by`], which
 //!   folds results in strictly ascending index order on the calling
 //!   thread — the report is byte-identical at any `jobs` count, while
 //!   memory stays bounded by one batch of `SimReport`s rather than the
@@ -21,14 +21,14 @@
 //!   [`OnError`] policy. Only infrastructure errors (trace or
 //!   checkpoint I/O) abort the run.
 //! * Change-point calibration is resolved **once per policy** before
-//!   the loop starts ([`crate::soa::CohortResources::prepare`]) and the
+//!   the loop starts ([`crate::cohort::CohortResources::prepare`]) and the
 //!   shared table handed to every device construction, so the
 //!   per-device hot path performs zero threshold-cache traffic. The
 //!   calibration itself (bit-identical at any thread count) still goes
 //!   through the process-wide [`detect::cache`], so distinct runs in
 //!   one process share tables too.
 //! * Within a batch, devices are *scheduled* in cohort order
-//!   ([`crate::soa::cohort_key`] via `par_try_fold_range_batched_by`):
+//!   ([`crate::cohort::cohort_key`], the schedule key):
 //!   identical-config devices step back-to-back on one worker while
 //!   results still land (and fold) in device order.
 
@@ -38,7 +38,8 @@ use std::io::{BufWriter, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use powermgr::config::{SupervisorConfig, SystemConfig};
+use powermgr::config::SystemConfig;
+use powermgr::scenario::Attachments;
 use powermgr::{PmError, SharedResources};
 use simcore::json::ToJson;
 use simcore::par::{par_try_fold_range_batched_by, Jobs};
@@ -46,8 +47,8 @@ use trace::{FleetEvent, JsonlSink, TraceSink};
 
 use crate::accum::FleetAccumulator;
 use crate::checkpoint;
+use crate::cohort::{self, CohortResources};
 use crate::report::{DeviceAssertions, DeviceFailure, DeviceOutcome, DeviceRecord, FleetReport};
-use crate::soa::{self, CohortResources};
 use crate::spec::{DeviceAssignment, FleetSpec, OnError};
 use crate::FleetError;
 
@@ -58,11 +59,6 @@ pub const BATCH: usize = 256;
 
 /// Default checkpoint cadence: a snapshot every this many batches.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 4;
-
-/// Buffer capacity paired with fault presets, matching the CLI's
-/// single-device chaos runs (a bounded buffer is what makes drop
-/// accounting meaningful under injected faults).
-const FAULT_BUFFER_FRAMES: usize = 64;
 
 /// Optional engine features beyond the plain spec + jobs run: trace
 /// streaming, periodic checkpoints, and resuming from one.
@@ -83,41 +79,10 @@ pub struct RunOptions {
     pub batch: usize,
 }
 
-/// Runs the fleet and aggregates the report.
-///
-/// # Errors
-///
-/// Returns [`FleetError::Spec`] for an invalid spec and
-/// [`FleetError::Device`] when a device fails under the default
-/// `fail_fast` policy.
-pub fn run_fleet(spec: &FleetSpec, jobs: Jobs) -> Result<FleetReport, FleetError> {
-    run_fleet_opts(spec, jobs, &RunOptions::default())
-}
-
-/// [`run_fleet`], optionally streaming traces under `trace_dir`:
-/// `device_NNNNN.jsonl` per device (full simulator event stream) plus
-/// `fleet.jsonl` of fleet-level [`FleetEvent`]s.
-///
-/// # Errors
-///
-/// As [`run_fleet`], plus [`FleetError::Io`] when the trace directory
-/// or a trace file cannot be written.
-pub fn run_fleet_with(
-    spec: &FleetSpec,
-    jobs: Jobs,
-    trace_dir: Option<&Path>,
-) -> Result<FleetReport, FleetError> {
-    run_fleet_opts(
-        spec,
-        jobs,
-        &RunOptions {
-            trace_dir: trace_dir.map(Path::to_path_buf),
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// The full-featured entry point: traces, checkpoints, and resume.
+/// Runs the fleet and aggregates the report; `opts` adds trace
+/// streaming, checkpoints, and resume. With traces, the run writes
+/// `device_NNNNN.jsonl` per device (the full simulator event stream)
+/// plus `fleet.jsonl` of fleet-level [`FleetEvent`]s.
 ///
 /// The report is a pure function of the spec: running with any `jobs`
 /// count, with or without checkpointing, or resumed from any checkpoint
@@ -189,7 +154,7 @@ pub fn run_fleet_opts(
             jobs,
             start..spec.devices,
             batch,
-            |i| soa::cohort_key(spec, i),
+            |i| cohort::cohort_key(spec, i),
             |i| supervised_run(spec, i, trace_dir, &cohorts),
             resumed,
             |mut acc: FleetAccumulator, _i, result| {
@@ -399,7 +364,15 @@ fn run_attempt(
     let report = match trace_dir {
         None => a
             .workload
-            .run_observed(&config, seed, shared, None, monitor.as_mut())
+            .run(
+                &config,
+                seed,
+                Attachments {
+                    shared: Some(shared),
+                    sink: None,
+                    monitor: monitor.as_mut(),
+                },
+            )
             .map_err(sim_err)?,
         Some(dir) => {
             // Stage the trace at a temp path and rename only on
@@ -415,7 +388,15 @@ fn run_attempt(
             let mut sink = JsonlSink::new(BufWriter::new(file));
             let report = a
                 .workload
-                .run_observed(&config, seed, shared, Some(&mut sink), monitor.as_mut())
+                .run(
+                    &config,
+                    seed,
+                    Attachments {
+                        shared: Some(shared),
+                        sink: Some(&mut sink),
+                        monitor: monitor.as_mut(),
+                    },
+                )
                 .map_err(sim_err)?;
             sink.finish().map_err(|e| {
                 AttemptError::Fatal(FleetError::Io(format!(
@@ -459,7 +440,7 @@ fn run_attempt(
         energy_kj: report.total_energy_kj(),
         mean_delay_s: report.mean_frame_delay_s(),
         drop_rate,
-        detection_latency_frames: soa::probe_detection_latency(&config.governor, seed, shared)
+        detection_latency_frames: cohort::probe_detection_latency(&config.governor, seed, shared)
             .map_err(AttemptError::Contained)?,
         frames_completed: report.frames_completed,
         duration_secs: report.duration_secs,
@@ -469,25 +450,15 @@ fn run_attempt(
 }
 
 /// Expands a device assignment into the full [`SystemConfig`],
-/// mirroring the single-device CLI: fault presets bring the
-/// graceful-degradation supervisor and a bounded frame buffer. The
+/// mirroring the single-device CLI ([`SystemConfig::with_faults`]). The
 /// fault spec derives from the attempt seed, so a retried flaky device
 /// re-rolls its failure.
 fn device_config(a: &DeviceAssignment<'_>, seed: u64) -> SystemConfig {
-    let faults = a.faults.spec(seed);
-    let (supervisor, buffer_capacity) = if faults.is_some() {
-        (Some(SupervisorConfig::default()), Some(FAULT_BUFFER_FRAMES))
-    } else {
-        (None, None)
-    };
-    SystemConfig {
-        governor: a.policy.governor.clone(),
-        dpm: a.policy.dpm.clone(),
-        faults,
-        supervisor,
-        buffer_capacity,
-        ..SystemConfig::default()
-    }
+    SystemConfig::with_faults(
+        a.policy.governor.clone(),
+        a.policy.dpm.clone(),
+        a.faults.spec(seed),
+    )
 }
 
 /// Streams `fleet.jsonl` as the fold progresses — start, one

@@ -20,7 +20,7 @@
 //! results.
 //!
 //! ```
-//! use fleet::{run_fleet, FleetSpec, OnError, PolicySpec};
+//! use fleet::{run_fleet_opts, FleetSpec, OnError, PolicySpec, RunOptions};
 //! use powermgr::config::{DpmKind, GovernorKind};
 //! use powermgr::scenario::Workload;
 //! use simcore::par::Jobs;
@@ -38,7 +38,7 @@
 //!     on_error: OnError::FailFast,
 //!     assertions: None,
 //! };
-//! let report = run_fleet(&spec, Jobs::Count(2))?;
+//! let report = run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default())?;
 //! assert_eq!(report.devices, 2);
 //! assert_eq!(report.cohorts.len(), 2);
 //! assert!(!report.partial);
@@ -49,18 +49,18 @@ use std::fmt;
 
 pub mod accum;
 pub mod checkpoint;
+pub mod cohort;
 pub mod engine;
 pub mod report;
-pub mod soa;
 pub mod spec;
 
 pub use accum::{FleetAccumulator, MetricAcc, RECORD_SAMPLE_CAP, SKETCH_CAPACITY};
-pub use engine::{run_device, run_fleet, run_fleet_opts, run_fleet_with, RunOptions};
+pub use cohort::{cohort_key, probe_detection_latency, CohortResources};
+pub use engine::{run_device, run_fleet_opts, RunOptions};
 pub use report::{
     CohortHealth, CohortSummary, DeviceAssertions, DeviceFailure, DeviceOutcome, DeviceRecord,
     FailureSample, FleetHealth, FleetReport, MetricSummary, SloSummary,
 };
-pub use soa::{cohort_key, probe_detection_latency, CohortResources};
 pub use spec::{DeviceAssignment, FleetSpec, OnError, PolicySpec};
 
 /// Errors from parsing a fleet spec or running a fleet.

@@ -5,9 +5,7 @@
 use std::path::PathBuf;
 
 use fleet::checkpoint::{load_checkpoint, write_checkpoint};
-use fleet::{
-    run_device, run_fleet, run_fleet_opts, FleetAccumulator, FleetError, FleetSpec, RunOptions,
-};
+use fleet::{run_device, run_fleet_opts, FleetAccumulator, FleetError, FleetSpec, RunOptions};
 use simcore::json::ToJson;
 use simcore::par::Jobs;
 
@@ -38,7 +36,7 @@ fn spec(devices: usize) -> FleetSpec {
 #[test]
 fn resume_from_any_prefix_matches_the_uninterrupted_run() {
     let spec = spec(9);
-    let reference = run_fleet(&spec, Jobs::Count(2))
+    let reference = run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default())
         .expect("runs")
         .to_json()
         .pretty();
@@ -100,7 +98,7 @@ fn resume_with_no_checkpoint_starts_fresh() {
         },
     )
     .expect("fresh start");
-    let reference = run_fleet(&spec, Jobs::Count(1)).expect("runs");
+    let reference = run_fleet_opts(&spec, Jobs::Count(1), &RunOptions::default()).expect("runs");
     assert_eq!(resumed.to_json().pretty(), reference.to_json().pretty());
 }
 
@@ -137,7 +135,7 @@ fn resume_rejects_a_checkpoint_from_a_different_spec() {
 fn checkpointing_does_not_change_report_bytes() {
     let spec = spec(7);
     let dir = tmp_dir("bytes");
-    let plain = run_fleet(&spec, Jobs::Count(2)).expect("runs");
+    let plain = run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default()).expect("runs");
     let checkpointed = run_fleet_opts(
         &spec,
         Jobs::Count(2),

@@ -8,7 +8,7 @@
 //! asserts on the process-wide cache counters: any concurrent test
 //! touching the cache would pollute the deltas.
 
-use fleet::{run_fleet, FleetSpec};
+use fleet::{run_fleet_opts, FleetSpec, RunOptions};
 use simcore::par::Jobs;
 
 #[test]
@@ -29,10 +29,10 @@ fn fleet_runs_touch_the_cache_once_per_policy_not_per_device() {
     .expect("valid spec");
 
     // First run calibrates (one miss) and pre-resolves per policy.
-    run_fleet(&spec, Jobs::Count(2)).expect("warm run");
+    run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default()).expect("warm run");
 
     let before = detect::cache::cache_stats_detailed();
-    run_fleet(&spec, Jobs::Count(2)).expect("measured run");
+    run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default()).expect("measured run");
     let delta = detect::cache::cache_stats_detailed().since(&before);
 
     assert_eq!(delta.misses, 0, "warm fleet run must never recalibrate");

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use fleet::{run_fleet, run_fleet_with, FleetError, FleetSpec};
+use fleet::{run_fleet_opts, FleetError, FleetSpec, RunOptions};
 use simcore::json::ToJson;
 use simcore::par::Jobs;
 
@@ -34,12 +34,12 @@ fn spec(devices: usize) -> FleetSpec {
 #[test]
 fn report_bytes_are_identical_at_any_jobs_count() {
     let spec = spec(13); // deliberately not a multiple of batch or combos
-    let reference = run_fleet(&spec, Jobs::Count(1))
+    let reference = run_fleet_opts(&spec, Jobs::Count(1), &RunOptions::default())
         .expect("fleet runs")
         .to_json()
         .pretty();
     for jobs in [2, 4, 8] {
-        let got = run_fleet(&spec, Jobs::Count(jobs))
+        let got = run_fleet_opts(&spec, Jobs::Count(jobs), &RunOptions::default())
             .expect("fleet runs")
             .to_json()
             .pretty();
@@ -50,7 +50,7 @@ fn report_bytes_are_identical_at_any_jobs_count() {
 #[test]
 fn records_cover_the_cross_product_with_distinct_seeds() {
     let spec = spec(12); // exactly one full 2×3×2 cross product
-    let report = run_fleet(&spec, Jobs::Auto).expect("fleet runs");
+    let report = run_fleet_opts(&spec, Jobs::Auto, &RunOptions::default()).expect("fleet runs");
     assert_eq!(report.devices, 12);
     assert_eq!(report.records.len(), 12);
 
@@ -100,8 +100,10 @@ fn a_device_run_does_not_depend_on_fleet_size() {
     // Device 3 of a 4-device fleet and device 3 of a 16-device fleet
     // must be the same simulation: seeds fork per index, never from a
     // shared sequential stream.
-    let small = run_fleet(&spec(4), Jobs::Count(2)).expect("fleet runs");
-    let large = run_fleet(&spec(16), Jobs::Count(3)).expect("fleet runs");
+    let small =
+        run_fleet_opts(&spec(4), Jobs::Count(2), &RunOptions::default()).expect("fleet runs");
+    let large =
+        run_fleet_opts(&spec(16), Jobs::Count(3), &RunOptions::default()).expect("fleet runs");
     assert_eq!(small.records[3], large.records[3]);
 }
 
@@ -110,7 +112,11 @@ fn trace_dir_gets_per_device_and_fleet_logs() {
     let dir = std::env::temp_dir().join(format!("fleet_trace_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = spec(3);
-    let report = run_fleet_with(&spec, Jobs::Count(2), Some(&dir)).expect("fleet runs");
+    let opts = RunOptions {
+        trace_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let report = run_fleet_opts(&spec, Jobs::Count(2), &opts).expect("fleet runs");
     for i in 0..3 {
         let path = dir.join(format!("device_{i:05}.jsonl"));
         let text = std::fs::read_to_string(&path).expect("device trace exists");
@@ -130,7 +136,8 @@ fn trace_dir_gets_per_device_and_fleet_logs() {
     ));
 
     // Tracing must not perturb the simulation.
-    let untraced = run_fleet(&spec, Jobs::Count(2)).expect("fleet runs");
+    let untraced =
+        run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default()).expect("fleet runs");
     assert_eq!(report, untraced);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -141,8 +148,9 @@ fn zero_jobs_runs_inline() {
     // the fleet engine inherits that and still produces the reference
     // bytes.
     let spec = spec(2);
-    let inline = run_fleet(&spec, Jobs::Count(0)).expect("inline run");
-    let reference = run_fleet(&spec, Jobs::Count(1)).expect("reference run");
+    let inline = run_fleet_opts(&spec, Jobs::Count(0), &RunOptions::default()).expect("inline run");
+    let reference =
+        run_fleet_opts(&spec, Jobs::Count(1), &RunOptions::default()).expect("reference run");
     assert_eq!(inline.to_json().pretty(), reference.to_json().pretty());
 }
 

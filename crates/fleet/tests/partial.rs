@@ -3,7 +3,7 @@
 //! report's bytes are identical at any worker count, and `retry(N)`
 //! outcomes are a pure function of the spec.
 
-use fleet::{run_fleet, FleetError, FleetSpec, OnError};
+use fleet::{run_fleet_opts, FleetError, FleetSpec, OnError, RunOptions};
 use simcore::json::ToJson;
 use simcore::par::Jobs;
 
@@ -34,12 +34,12 @@ fn mixed_spec(devices: usize, on_error: &str) -> FleetSpec {
 #[test]
 fn partial_report_bytes_are_identical_at_any_jobs_count() {
     let spec = mixed_spec(13, "continue");
-    let reference = run_fleet(&spec, Jobs::Count(1))
+    let reference = run_fleet_opts(&spec, Jobs::Count(1), &RunOptions::default())
         .expect("continue survives failures")
         .to_json()
         .pretty();
     for jobs in [2, 8] {
-        let got = run_fleet(&spec, Jobs::Count(jobs))
+        let got = run_fleet_opts(&spec, Jobs::Count(jobs), &RunOptions::default())
             .expect("continue survives failures")
             .to_json()
             .pretty();
@@ -52,7 +52,8 @@ fn continue_contains_failures_and_counts_them() {
     // 12 devices over a 1×2×3 cross product: faults vary slowest, so
     // devices 2,3 (poison) and 4,5 (panic) of every 6 fail.
     let spec = mixed_spec(12, "continue");
-    let report = run_fleet(&spec, Jobs::Count(4)).expect("continue survives failures");
+    let report = run_fleet_opts(&spec, Jobs::Count(4), &RunOptions::default())
+        .expect("continue survives failures");
     assert!(report.partial);
     assert_eq!(report.devices, 12);
     assert_eq!(
@@ -100,7 +101,8 @@ fn continue_contains_failures_and_counts_them() {
 #[test]
 fn fail_fast_aborts_on_the_first_failure() {
     let spec = mixed_spec(12, "fail_fast");
-    let err = run_fleet(&spec, Jobs::Count(2)).expect_err("fail_fast aborts");
+    let err = run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default())
+        .expect_err("fail_fast aborts");
     match err {
         FleetError::Device {
             device, attempts, ..
@@ -133,9 +135,11 @@ fn retry_outcomes_are_deterministic_and_recover_flaky_devices() {
     .expect("valid spec");
     assert_eq!(spec.on_error, OnError::Retry(4));
 
-    let reference = run_fleet(&spec, Jobs::Count(1)).expect("retry contains failures");
+    let reference = run_fleet_opts(&spec, Jobs::Count(1), &RunOptions::default())
+        .expect("retry contains failures");
     for jobs in [2, 8] {
-        let got = run_fleet(&spec, Jobs::Count(jobs)).expect("retry contains failures");
+        let got = run_fleet_opts(&spec, Jobs::Count(jobs), &RunOptions::default())
+            .expect("retry contains failures");
         assert_eq!(
             got.to_json().pretty(),
             reference.to_json().pretty(),
@@ -183,7 +187,8 @@ fn all_devices_failing_still_produces_a_report() {
         }"#,
     )
     .expect("valid spec");
-    let report = run_fleet(&spec, Jobs::Count(2)).expect("continue survives total loss");
+    let report = run_fleet_opts(&spec, Jobs::Count(2), &RunOptions::default())
+        .expect("continue survives total loss");
     assert!(report.partial);
     assert_eq!(report.health.failed, 3);
     assert!(report.records.is_empty());
@@ -203,7 +208,7 @@ fn all_devices_failing_still_produces_a_report() {
 fn profiled_panic_devices_still_fail_cleanly() {
     simcore::par::set_profiling(true);
     let spec = mixed_spec(12, "continue");
-    let result = run_fleet(&spec, Jobs::Count(4));
+    let result = run_fleet_opts(&spec, Jobs::Count(4), &RunOptions::default());
     simcore::par::set_profiling(false);
     let report = result.expect("panicking devices are contained, not cascaded");
     assert_eq!(report.devices, 12);

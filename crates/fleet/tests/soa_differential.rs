@@ -1,12 +1,13 @@
-//! Differential contract of the SoA cohort engine: stepping mixed
+//! Differential contract of the cohort engine: stepping mixed
 //! cohorts through the flattened kernel (per-policy pre-resolved
 //! threshold tables, cohort-scheduled batches, block-sampled probes)
 //! must be indistinguishable — byte for byte — from running each
 //! device through the per-device reference path ([`fleet::run_device`]
 //! + a caller-owned accumulator), at any worker count.
 
-use fleet::{run_device, run_fleet, run_fleet_with, FleetAccumulator, FleetSpec};
+use fleet::{run_device, run_fleet_opts, FleetAccumulator, FleetSpec, RunOptions};
 use powermgr::config::SystemConfig;
+use powermgr::scenario::Attachments;
 use simcore::json::ToJson;
 use simcore::par::Jobs;
 use trace::{JsonlSink, TraceSink};
@@ -60,7 +61,7 @@ fn cohort_engine_report_bytes_equal_per_device_reference() {
         let spec = mixed_spec(devices, base_seed, faults);
         let reference = reference_report_bytes(&spec);
         for jobs in [1, 2, 8] {
-            let got = run_fleet(&spec, Jobs::Count(jobs))
+            let got = run_fleet_opts(&spec, Jobs::Count(jobs), &RunOptions::default())
                 .expect("cohort engine runs")
                 .to_json()
                 .pretty();
@@ -82,7 +83,11 @@ fn cohort_engine_trace_streams_equal_per_device_reference() {
         let dir =
             std::env::temp_dir().join(format!("soa_diff_traces_{}_{jobs}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        run_fleet_with(&spec, Jobs::Count(jobs), Some(&dir)).expect("traced fleet runs");
+        let opts = RunOptions {
+            trace_dir: Some(dir.clone()),
+            ..RunOptions::default()
+        };
+        run_fleet_opts(&spec, Jobs::Count(jobs), &opts).expect("traced fleet runs");
 
         for device in 0..spec.devices {
             let engine_trace =
@@ -96,8 +101,12 @@ fn cohort_engine_trace_streams_equal_per_device_reference() {
                 ..SystemConfig::default()
             };
             let mut sink = JsonlSink::new(Vec::new());
+            let attach = Attachments {
+                sink: Some(&mut sink),
+                ..Attachments::default()
+            };
             a.workload
-                .run_traced(&config, a.seed, &mut sink)
+                .run(&config, a.seed, attach)
                 .expect("reference device runs");
             sink.finish().expect("reference trace flushes");
             let reference = String::from_utf8(sink.into_inner()).expect("trace is UTF-8");

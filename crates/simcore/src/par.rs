@@ -266,53 +266,17 @@ where
     par_map_indexed(jobs, &indices, |_, &i| f(i))
 }
 
-/// Streams `map` over `0..n` in consecutive batches of `batch` items,
+/// Streams `map` over `range` in consecutive batches of `batch` items,
 /// folding each batch's results into `acc` **in index order** — the
 /// bounded-memory companion to [`par_map_range`] for fleet-scale loops
-/// where materializing all `n` results at once is wasteful.
+/// where materializing every result at once is wasteful.
 ///
-/// Each batch is mapped on the parallel engine; the fold itself runs on
-/// the calling thread between batches, so `fold(acc, i, map(i))` sees
-/// indices strictly ascending. Under the same purity contract as
-/// [`par_map_indexed`], the final accumulator is bit-identical at any
-/// thread count. A `batch` of 0 is treated as 1.
-///
-/// # Panics
-///
-/// Panics if `map` panics on any index.
-pub fn par_fold_range_batched<R, A, F, G>(
-    jobs: Jobs,
-    n: usize,
-    batch: usize,
-    map: F,
-    init: A,
-    mut fold: G,
-) -> A
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    G: FnMut(A, usize, R) -> A,
-{
-    let batch = batch.max(1);
-    let mut acc = init;
-    let mut start = 0usize;
-    while start < n {
-        let m = batch.min(n - start);
-        let results = par_map_range(jobs, m, |j| map(start + j));
-        for (j, r) in results.into_iter().enumerate() {
-            acc = fold(acc, start + j, r);
-        }
-        start += m;
-    }
-    acc
-}
-
-/// The fallible, resumable companion to [`par_fold_range_batched`]:
-/// streams `map` over `range` in consecutive batches of `batch` items,
-/// folding each batch's results into `acc` in index order, and invokes
-/// `after_batch(&acc, next_index)` once per completed batch — the
-/// progress hook checkpointing callers (the fleet engine) use to
-/// snapshot the accumulated prefix at deterministic boundaries.
+/// Each batch is mapped on the parallel engine; the fold runs on the
+/// calling thread between batches, so `fold(acc, i, map(i))` sees
+/// indices strictly ascending. `after_batch(&acc, next_index)` runs once
+/// per completed batch — the progress hook checkpointing callers (the
+/// fleet engine) use to snapshot the accumulated prefix at
+/// deterministic boundaries. A `batch` of 0 is treated as 1.
 ///
 /// `range.start` need not be zero: a resumed caller passes the first
 /// *unfinished* index and an accumulator pre-seeded with the finished
@@ -320,48 +284,20 @@ where
 /// `(range, batch)`, a resumed run revisits exactly the boundaries the
 /// interrupted run would have hit.
 ///
+/// Within each batch, items are claimed by workers in ascending
+/// `(schedule(i), i)` order, so items sharing a key run back-to-back on
+/// the same worker — the cohort-locality hook the fleet engine uses to
+/// step identical-config devices as a group (shared threshold tables
+/// and detector state stay hot in cache). A constant key claims in
+/// plain index order. Scheduling is *only* about claim order: every
+/// result still lands in the slot of its item index and the fold still
+/// sees indices strictly ascending, so under the purity contract of
+/// [`par_map_indexed`] the accumulator is bit-identical for every
+/// `jobs` count **and every schedule key**.
+///
 /// The first error returned by `fold` or `after_batch` aborts the loop
 /// immediately — remaining batches are never mapped — and is returned
-/// to the caller. Under the same purity contract as
-/// [`par_map_indexed`], the successful result is bit-identical at any
-/// thread count. A `batch` of 0 is treated as 1.
-///
-/// # Errors
-///
-/// Returns the first error produced by `fold` or `after_batch`.
-///
-/// # Panics
-///
-/// Panics if `map` panics on any index.
-pub fn par_try_fold_range_batched<R, A, E, F, G, H>(
-    jobs: Jobs,
-    range: std::ops::Range<usize>,
-    batch: usize,
-    map: F,
-    init: A,
-    fold: G,
-    after_batch: H,
-) -> Result<A, E>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    G: FnMut(A, usize, R) -> Result<A, E>,
-    H: FnMut(&A, usize) -> Result<(), E>,
-{
-    par_try_fold_range_batched_by(jobs, range, batch, |_| 0, map, init, fold, after_batch)
-}
-
-/// [`par_try_fold_range_batched`] with a *schedule key*: within each
-/// batch, items are claimed by workers in ascending `(schedule(i), i)`
-/// order instead of plain index order, so items sharing a key run
-/// back-to-back on the same worker — the cohort-locality hook the fleet
-/// engine uses to step identical-config devices as a group (shared
-/// threshold tables and detector state stay hot in cache).
-///
-/// Scheduling is *only* about claim order: every result still lands in
-/// the slot of its item index and the fold still sees indices strictly
-/// ascending, so under the usual purity contract the accumulator is
-/// bit-identical for every `jobs` count **and every schedule key**.
+/// to the caller.
 ///
 /// # Errors
 ///
@@ -546,66 +482,55 @@ mod tests {
         assert!(!take_spans().iter().any(|s| s.items == 8 && s.threads == 2));
     }
 
+    /// Folds `work` over `range` into a `Vec`, asserting that the fold
+    /// sees ascending indices and the batch hook the folded prefix.
+    fn fold_all<K: Fn(usize) -> u64>(
+        jobs: usize,
+        range: std::ops::Range<usize>,
+        batch: usize,
+        key: K,
+        work: impl Fn(usize) -> f64 + Sync,
+        boundaries: &mut Vec<usize>,
+    ) -> Vec<f64> {
+        let start = range.start;
+        let folded: Result<Vec<f64>, ()> = par_try_fold_range_batched_by(
+            Jobs::Count(jobs),
+            range,
+            batch,
+            key,
+            work,
+            Vec::new(),
+            |mut acc, i, r| {
+                assert_eq!(start + acc.len(), i, "fold must see ascending indices");
+                acc.push(r);
+                Ok(acc)
+            },
+            |acc, done| {
+                assert_eq!(start + acc.len(), done);
+                boundaries.push(done);
+                Ok(())
+            },
+        );
+        folded.expect("no errors")
+    }
+
     #[test]
-    fn batched_fold_matches_unbatched_map_at_any_thread_count() {
+    fn batched_fold_matches_unbatched_map_and_fires_batch_hook() {
         let work = |i: usize| -> f64 {
             let mut rng = SimRng::seed_from(9).fork_indexed("fold-test", i as u64);
             (0..20).map(|_| rng.next_f64()).sum()
         };
         let reference = par_map_range(Jobs::Count(1), 100, work);
         for (jobs, batch) in [(1, 7), (4, 7), (4, 100), (8, 1), (3, 0)] {
-            let folded = par_fold_range_batched(
-                Jobs::Count(jobs),
-                100,
-                batch,
-                work,
-                Vec::new(),
-                |mut acc, i, r| {
-                    assert_eq!(acc.len(), i, "fold must see ascending indices");
-                    acc.push(r);
-                    acc
-                },
-            );
-            assert_eq!(folded, reference, "jobs={jobs} batch={batch}");
-        }
-    }
-
-    #[test]
-    fn batched_fold_handles_empty_range() {
-        let sum = par_fold_range_batched(Jobs::Count(4), 0, 16, |i| i, 0usize, |a, _, r| a + r);
-        assert_eq!(sum, 0);
-    }
-
-    #[test]
-    fn try_fold_matches_infallible_fold_and_fires_batch_hook() {
-        let work = |i: usize| -> f64 {
-            let mut rng = SimRng::seed_from(9).fork_indexed("try-fold-test", i as u64);
-            (0..20).map(|_| rng.next_f64()).sum()
-        };
-        let reference = par_map_range(Jobs::Count(1), 100, work);
-        for (jobs, batch) in [(1, 7), (4, 7), (4, 100), (8, 1)] {
             let mut boundaries = Vec::new();
-            let folded: Result<Vec<f64>, ()> = par_try_fold_range_batched(
-                Jobs::Count(jobs),
-                0..100,
-                batch,
-                work,
-                Vec::new(),
-                |mut acc, i, r| {
-                    assert_eq!(acc.len(), i, "fold must see ascending indices");
-                    acc.push(r);
-                    Ok(acc)
-                },
-                |acc, done| {
-                    assert_eq!(acc.len(), done);
-                    boundaries.push(done);
-                    Ok(())
-                },
-            );
-            assert_eq!(folded.expect("no errors"), reference, "jobs={jobs}");
+            let folded = fold_all(jobs, 0..100, batch, |_| 0, work, &mut boundaries);
+            assert_eq!(folded, reference, "jobs={jobs} batch={batch}");
             assert_eq!(*boundaries.last().expect("hook fired"), 100);
-            assert!(boundaries.windows(2).all(|w| w[1] - w[0] <= batch));
+            assert!(boundaries.windows(2).all(|w| w[1] - w[0] <= batch.max(1)));
         }
+        let mut boundaries = Vec::new();
+        assert!(fold_all(4, 0..0, 16, |_| 0, work, &mut boundaries).is_empty());
+        assert!(boundaries.is_empty(), "an empty range runs no batch");
     }
 
     #[test]
@@ -614,42 +539,14 @@ mod tests {
             let mut rng = SimRng::seed_from(11).fork_indexed("sched-test", i as u64);
             (0..20).map(|_| rng.next_f64()).sum()
         };
-        let reference: Result<Vec<f64>, ()> = par_try_fold_range_batched(
-            Jobs::Count(1),
-            0..90,
-            16,
-            work,
-            Vec::new(),
-            |mut acc, _i, r| {
-                acc.push(r);
-                Ok(acc)
-            },
-            |_, _| Ok(()),
-        );
-        let reference = reference.expect("no errors");
+        let reference = par_map_range(Jobs::Count(1), 90, work);
         // Keys that interleave (cohort round-robin), reverse, and
         // collapse to a constant — none may perturb fold order/results.
         let keys: [fn(usize) -> u64; 3] = [|i| (i % 7) as u64, |i| u64::MAX - i as u64, |_| 42];
         for key in keys {
             for jobs in [1, 3, 8] {
-                let folded: Result<Vec<f64>, ()> = par_try_fold_range_batched_by(
-                    Jobs::Count(jobs),
-                    0..90,
-                    16,
-                    key,
-                    work,
-                    Vec::new(),
-                    |mut acc, i, r| {
-                        assert_eq!(acc.len(), i, "fold must see ascending indices");
-                        acc.push(r);
-                        Ok(acc)
-                    },
-                    |acc, done| {
-                        assert_eq!(acc.len(), done);
-                        Ok(())
-                    },
-                );
-                assert_eq!(folded.expect("no errors"), reference, "jobs={jobs}");
+                let folded = fold_all(jobs, 0..90, 16, key, work, &mut Vec::new());
+                assert_eq!(folded, reference, "jobs={jobs}");
             }
         }
     }
@@ -659,27 +556,34 @@ mod tests {
         let work = |i: usize| i * 2;
         // Resume: start at 6 with a pre-seeded prefix; boundaries land
         // where the batch grid dictates.
-        let resumed = par_try_fold_range_batched(
+        let mut boundaries = Vec::new();
+        let resumed = par_try_fold_range_batched_by(
             Jobs::Count(2),
             6..20,
             4,
+            |i| (i % 3) as u64,
             work,
             (0..6).map(work).collect::<Vec<_>>(),
             |mut acc, _i, r| -> Result<_, String> {
                 acc.push(r);
                 Ok(acc)
             },
-            |_acc, _done| Ok(()),
+            |_acc, done| {
+                boundaries.push(done);
+                Ok(())
+            },
         )
         .expect("no errors");
         assert_eq!(resumed, (0..20).map(work).collect::<Vec<_>>());
+        assert_eq!(boundaries, [10, 14, 18, 20]);
 
         // A fold error aborts before later batches are mapped.
         let mapped = AtomicUsize::new(0);
-        let failed: Result<usize, &str> = par_try_fold_range_batched(
+        let failed: Result<usize, &str> = par_try_fold_range_batched_by(
             Jobs::Count(1),
             0..100,
             5,
+            |_| 0,
             |i| {
                 mapped.fetch_add(1, Ordering::Relaxed);
                 i
@@ -695,10 +599,11 @@ mod tests {
         );
 
         // An after_batch error aborts too.
-        let failed: Result<usize, &str> = par_try_fold_range_batched(
+        let failed: Result<usize, &str> = par_try_fold_range_batched_by(
             Jobs::Count(2),
             0..100,
             5,
+            |_| 0,
             |i| i,
             0usize,
             |acc, _i, r| Ok(acc + r),

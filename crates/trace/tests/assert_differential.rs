@@ -10,8 +10,7 @@
 //! threading) — exactly the bug class this suite exists to catch.
 
 use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
-use powermgr::scenario::Workload;
-use powermgr::SharedResources;
+use powermgr::scenario::{Attachments, Workload};
 use simcore::json::ToJson;
 use trace::{
     AssertionConfig, AssertionMonitor, AssertionReport, DelayBound, OccupancyBound,
@@ -69,11 +68,15 @@ fn one_case(
     assertions: &AssertionConfig,
 ) -> AssertionReport {
     let config = config_for(governor, preset, seed);
-    let shared = SharedResources::default();
     let mut sink = RingSink::new(RING_CAPACITY);
     let mut monitor = AssertionMonitor::new(assertions).expect("valid config");
+    let attach = Attachments {
+        shared: None,
+        sink: Some(&mut sink),
+        monitor: Some(&mut monitor),
+    };
     let report = workload
-        .run_observed(&config, seed, &shared, Some(&mut sink), Some(&mut monitor))
+        .run(&config, seed, attach)
         .expect("monitored run succeeds");
     assert_eq!(sink.dropped(), 0, "ring too small for the full trace");
 

@@ -10,7 +10,7 @@ use detect::changepoint::{ChangePointConfig, ChangePointDetector};
 use detect::estimator::RateEstimator;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::dvs::DvsPolicy;
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 use simcore::dist::{Exponential, Sample};
 use simcore::rng::SimRng;
 use workload::MediaKind;
@@ -56,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         governor: GovernorKind::MaxPerformance,
         ..paper.clone()
     };
-    let with_dvs = scenario::run_mp3_sequence("ACE", &paper, 7)?;
-    let without = scenario::run_mp3_sequence("ACE", &baseline, 7)?;
+    let with_dvs = Workload::Mp3("ACE".into()).run(&paper, 7, Attachments::default())?;
+    let without = Workload::Mp3("ACE".into()).run(&baseline, 7, Attachments::default())?;
     println!("\nchange-point DVS: {with_dvs}");
     println!("\nmax frequency   : {without}");
     println!(

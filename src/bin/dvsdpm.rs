@@ -27,8 +27,8 @@
 
 use faults::FaultPreset;
 use fleet::FleetSpec;
-use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
-use powermgr::scenario::Workload;
+use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
+use powermgr::scenario::{Attachments, Workload};
 use powermgr::SimReport;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -222,22 +222,13 @@ fn execute(run: &RunArgs) -> Result<SimReport, String> {
     if let Some(jobs) = run.jobs {
         simcore::par::set_default_jobs(jobs);
     }
-    let faults = run.faults.spec(run.seed);
-    // Fault presets bring the graceful-degradation supervisor and a
-    // bounded frame buffer along, so the reaction side is exercised too.
-    let (supervisor, buffer_capacity) = if faults.is_some() {
-        (Some(SupervisorConfig::default()), Some(64))
-    } else {
-        (None, None)
-    };
-    let config = SystemConfig {
-        governor: run.governor.clone(),
-        dpm: run.dpm.clone(),
-        faults,
-        supervisor,
-        buffer_capacity,
-        ..SystemConfig::default()
-    };
+    let config = SystemConfig::with_faults(
+        run.governor.clone(),
+        run.dpm.clone(),
+        run.faults.spec(run.seed),
+    );
+    // A monitor makes the report grow an `assertions` verdict, with or
+    // without a trace file.
     let mut monitor = match &run.assertions {
         None => None,
         Some(cfg) => Some(
@@ -245,39 +236,31 @@ fn execute(run: &RunArgs) -> Result<SimReport, String> {
                 .map_err(|e| format!("invalid assertion config: {e}"))?,
         ),
     };
-    let report = match &run.trace {
-        None => match monitor.as_mut() {
-            None => run.workload.run(&config, run.seed),
-            // Monitor without a sink: the observed path attaches it and
-            // the report grows an `assertions` verdict.
-            Some(monitor) => run.workload.run_observed(
-                &config,
-                run.seed,
-                &powermgr::SharedResources::default(),
-                None,
-                Some(monitor),
-            ),
-        },
+    let mut sink: Option<Box<dyn TraceSink>> = match &run.trace {
+        None => None,
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
             let jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-            let mut sink: Box<dyn TraceSink> = match run.trace_filter {
+            Some(match run.trace_filter {
                 Some(keep) => Box::new(FilteredSink::new(jsonl, keep)),
                 None => Box::new(jsonl),
-            };
-            let report = run.workload.run_observed(
-                &config,
-                run.seed,
-                &powermgr::SharedResources::default(),
-                Some(sink.as_mut()),
-                monitor.as_mut(),
-            );
-            sink.finish()
-                .map_err(|e| format!("trace write to {path} failed: {e}"))?;
-            report
+            })
         }
     };
+    let report = run.workload.run(
+        &config,
+        run.seed,
+        Attachments {
+            shared: None,
+            sink: sink.as_mut().map(|s| s.as_mut() as &mut dyn TraceSink),
+            monitor: monitor.as_mut(),
+        },
+    );
+    if let (Some(sink), Some(path)) = (sink.as_mut(), &run.trace) {
+        sink.finish()
+            .map_err(|e| format!("trace write to {path} failed: {e}"))?;
+    }
     report.map_err(|e| e.to_string())
 }
 

@@ -9,10 +9,18 @@
 use faults::{FaultSpec, FaultWindow, OverrunSpec};
 use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
 use powermgr::metrics::ModeKey;
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 use powermgr::SimReport;
 use simcore::json::ToJson;
 use simcore::rng::SimRng;
+
+/// Runs `workload` (the CLI's `--workload` form) with no attachments.
+fn run(workload: &str, config: &SystemConfig, seed: u64) -> SimReport {
+    Workload::parse(workload)
+        .expect("known workload")
+        .run(config, seed, Attachments::default())
+        .expect("runs")
+}
 
 /// A chaos configuration: randomized faults, bounded buffer, supervisor.
 fn chaos_config(spec: FaultSpec) -> SystemConfig {
@@ -86,7 +94,8 @@ fn randomized_fault_sweep_holds_invariants() {
     for seed in 0..16 {
         let mut rng = SimRng::seed_from(seed).fork("chaos-spec");
         let spec = FaultSpec::randomized(&mut rng);
-        let report = scenario::run_mp3_sequence("ACE", &chaos_config(spec.clone()), seed)
+        let report = Workload::Mp3("ACE".into())
+            .run(&chaos_config(spec.clone()), seed, Attachments::default())
             .unwrap_or_else(|e| panic!("seed {seed} failed: {e} (spec {spec:?})"));
         assert_books_balance(&report, "ACE", seed);
     }
@@ -98,8 +107,8 @@ fn chaos_runs_replay_byte_identical() {
     for seed in [3, 11, 42] {
         let mut rng = SimRng::seed_from(seed).fork("chaos-spec");
         let spec = FaultSpec::randomized(&mut rng);
-        let a = scenario::run_mp3_sequence("ACE", &chaos_config(spec.clone()), seed).expect("runs");
-        let b = scenario::run_mp3_sequence("ACE", &chaos_config(spec), seed).expect("runs");
+        let a = run("mp3:ACE", &chaos_config(spec.clone()), seed);
+        let b = run("mp3:ACE", &chaos_config(spec), seed);
         assert_eq!(
             a.to_json().dump(),
             b.to_json().dump(),
@@ -139,7 +148,7 @@ fn supervisor_enters_and_exits_degraded_mode() {
         ..SystemConfig::default()
     };
     // Three clips ≈ 300 s of audio; the burst covers [20 s, 60 s).
-    let report = scenario::run_mp3_sequence("ACE", &config, 77).expect("runs");
+    let report = run("mp3:ACE", &config, 77);
     let r = &report.robustness;
     assert!(r.degraded_entries >= 1, "never degraded: {r:?}");
     assert!(r.degraded_secs > 0.0, "{r:?}");
@@ -165,7 +174,7 @@ fn zero_capacity_buffer_sheds_everything_and_terminates() {
         buffer_capacity: Some(0),
         ..SystemConfig::default()
     };
-    let report = scenario::run_mp3_sequence("A", &config, 5).expect("runs");
+    let report = run("mp3:A", &config, 5);
     let mut rng = SimRng::seed_from(5).fork("mp3-sequence");
     let trace = workload::mp3::sequence("A", &mut rng).expect("known labels");
     assert_eq!(report.frames_completed, 0);

@@ -5,7 +5,8 @@
 use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::metrics::ModeKey;
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
+use powermgr::SimReport;
 
 fn cfg(governor: GovernorKind, dpm: DpmKind) -> SystemConfig {
     SystemConfig {
@@ -15,26 +16,35 @@ fn cfg(governor: GovernorKind, dpm: DpmKind) -> SystemConfig {
     }
 }
 
+/// Runs `workload` (the CLI's `--workload` form) with no attachments.
+fn run(workload: &str, config: &SystemConfig, seed: u64) -> SimReport {
+    Workload::parse(workload)
+        .expect("known workload")
+        .run(config, seed, Attachments::default())
+        .expect("runs")
+}
+
 /// Table 3 shape: on MP3 sequences the change-point governor's energy is
 /// within 15 % of the oracle, and the max-frequency baseline pays > 1.3x.
 #[test]
 fn table3_shape_change_point_tracks_ideal_on_audio() {
     for (i, seq) in ["ACEFBD", "BADECF", "CEDAFB"].iter().enumerate() {
         let seed = 9000 + i as u64;
-        let ideal = scenario::run_mp3_sequence(seq, &cfg(GovernorKind::Ideal, DpmKind::None), seed)
-            .expect("runs");
-        let cp = scenario::run_mp3_sequence(
-            seq,
+        let ideal = run(
+            &format!("mp3:{seq}"),
+            &cfg(GovernorKind::Ideal, DpmKind::None),
+            seed,
+        );
+        let cp = run(
+            &format!("mp3:{seq}"),
             &cfg(GovernorKind::quick_change_point(), DpmKind::None),
             seed,
-        )
-        .expect("runs");
-        let max = scenario::run_mp3_sequence(
-            seq,
+        );
+        let max = run(
+            &format!("mp3:{seq}"),
             &cfg(GovernorKind::MaxPerformance, DpmKind::None),
             seed,
-        )
-        .expect("runs");
+        );
         let rel = (cp.total_energy_j() - ideal.total_energy_j()) / ideal.total_energy_j();
         assert!(
             rel < 0.15,
@@ -58,11 +68,11 @@ fn ema_wastes_energy_relative_to_change_point() {
     let seed = 9100;
     let ema = cfg(GovernorKind::ExpAverage { gain: 0.5 }, DpmKind::None);
     let cp = cfg(GovernorKind::quick_change_point(), DpmKind::None);
-    let ema_audio = scenario::run_mp3_sequence("ACEFBD", &ema, seed).expect("runs");
-    let cp_audio = scenario::run_mp3_sequence("ACEFBD", &cp, seed).expect("runs");
+    let ema_audio = run("mp3:ACEFBD", &ema, seed);
+    let cp_audio = run("mp3:ACEFBD", &cp, seed);
     assert!(ema_audio.total_energy_j() > 1.1 * cp_audio.total_energy_j());
-    let ema_video = scenario::run_mpeg_clip("football", &ema, seed).expect("runs");
-    let cp_video = scenario::run_mpeg_clip("football", &cp, seed).expect("runs");
+    let ema_video = run("mpeg:football", &ema, seed);
+    let cp_video = run("mpeg:football", &cp, seed);
     assert!(ema_video.total_energy_j() > cp_video.total_energy_j());
     // Instability is visible as orders of magnitude more switches.
     assert!(ema_video.freq_switches > 20 * cp_video.freq_switches.max(1));
@@ -73,14 +83,16 @@ fn ema_wastes_energy_relative_to_change_point() {
 fn table4_shape_video_dvs_saves_energy_within_delay_budget() {
     let seed = 9200;
     for clip in ["football", "terminator2"] {
-        let ideal = scenario::run_mpeg_clip(clip, &cfg(GovernorKind::Ideal, DpmKind::None), seed)
-            .expect("runs");
-        let max = scenario::run_mpeg_clip(
-            clip,
+        let ideal = run(
+            &format!("mpeg:{clip}"),
+            &cfg(GovernorKind::Ideal, DpmKind::None),
+            seed,
+        );
+        let max = run(
+            &format!("mpeg:{clip}"),
             &cfg(GovernorKind::MaxPerformance, DpmKind::None),
             seed,
-        )
-        .expect("runs");
+        );
         assert!(
             ideal.total_energy_j() < 0.9 * max.total_energy_j(),
             "{clip}: {:.1} vs {:.1}",
@@ -104,14 +116,20 @@ fn table5_shape_combined_approach_factor_three() {
     let seed = 9300;
     let dvs = GovernorKind::quick_change_point();
     let dpm = DpmKind::Tismdp { delay_weight: 2.0 };
-    let none = scenario::run_session(&cfg(GovernorKind::MaxPerformance, DpmKind::None), seed)
-        .expect("runs");
-    let dvs_only = scenario::run_session(&cfg(dvs.clone(), DpmKind::None), seed).expect("runs");
-    let dpm_only =
-        scenario::run_session(&cfg(GovernorKind::MaxPerformance, dpm.clone()), seed).expect("runs");
-    let both = scenario::run_session(&cfg(dvs, dpm), seed).expect("runs");
+    let none = run(
+        "session",
+        &cfg(GovernorKind::MaxPerformance, DpmKind::None),
+        seed,
+    );
+    let dvs_only = run("session", &cfg(dvs.clone(), DpmKind::None), seed);
+    let dpm_only = run(
+        "session",
+        &cfg(GovernorKind::MaxPerformance, dpm.clone()),
+        seed,
+    );
+    let both = run("session", &cfg(dvs, dpm), seed);
 
-    let f = |r: &powermgr::SimReport| none.total_energy_j() / r.total_energy_j();
+    let f = |r: &SimReport| none.total_energy_j() / r.total_energy_j();
     assert!(f(&dvs_only) > 1.08, "DVS factor {:.2}", f(&dvs_only));
     assert!(f(&dpm_only) > 1.5, "DPM factor {:.2}", f(&dpm_only));
     assert!(
@@ -133,7 +151,8 @@ fn table5_shape_combined_approach_factor_three() {
 fn stochastic_dpm_competitive_with_timeouts() {
     let seed = 9400;
     let governor = GovernorKind::MaxPerformance;
-    let timeout = scenario::run_session(
+    let timeout = run(
+        "session",
         &cfg(
             governor.clone(),
             DpmKind::FixedTimeout {
@@ -142,10 +161,12 @@ fn stochastic_dpm_competitive_with_timeouts() {
             },
         ),
         seed,
-    )
-    .expect("runs");
-    let tismdp = scenario::run_session(&cfg(governor, DpmKind::Tismdp { delay_weight: 2.0 }), seed)
-        .expect("runs");
+    );
+    let tismdp = run(
+        "session",
+        &cfg(governor, DpmKind::Tismdp { delay_weight: 2.0 }),
+        seed,
+    );
     // TISMDP can use off (0 mW) where the fixed policy only reaches
     // standby, so in expectation it does at least as well. A single
     // realization can land slightly above the timeout policy (randomized
@@ -170,8 +191,8 @@ fn no_frames_are_lost() {
     ];
     let mut expected = None;
     for governor in governors {
-        let report = scenario::run_mp3_sequence(
-            "AF",
+        let report = run(
+            "mp3:AF",
             &cfg(
                 governor,
                 DpmKind::BreakEven {
@@ -179,8 +200,7 @@ fn no_frames_are_lost() {
                 },
             ),
             seed,
-        )
-        .expect("runs");
+        );
         let e = *expected.get_or_insert(report.frames_completed);
         assert_eq!(report.frames_completed, e, "same trace, same frame count");
         assert!(report.frames_completed > 3000);

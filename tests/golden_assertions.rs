@@ -17,7 +17,7 @@
 //!     --json tests/golden/fleet_assert_8dev_seed42.json
 //! ```
 
-use fleet::{run_fleet, FleetSpec};
+use fleet::{run_fleet_opts, FleetSpec, RunOptions};
 use simcore::par::Jobs;
 
 fn golden_spec() -> FleetSpec {
@@ -34,7 +34,8 @@ fn golden_json() -> String {
 #[test]
 fn monitored_fleet_report_matches_golden_bytes_at_every_jobs_count() {
     for jobs in [1, 2, 8] {
-        let report = run_fleet(&golden_spec(), Jobs::Count(jobs)).expect("golden fleet runs");
+        let report = run_fleet_opts(&golden_spec(), Jobs::Count(jobs), &RunOptions::default())
+            .expect("golden fleet runs");
         assert_eq!(
             report.to_json_pretty(),
             golden_json(),
@@ -46,7 +47,8 @@ fn monitored_fleet_report_matches_golden_bytes_at_every_jobs_count() {
 #[test]
 fn exactly_the_mistuned_cohort_violates() {
     let spec = golden_spec();
-    let report = run_fleet(&spec, Jobs::Auto).expect("golden fleet runs");
+    let report =
+        run_fleet_opts(&spec, Jobs::Auto, &RunOptions::default()).expect("golden fleet runs");
 
     let slo = report.slo.expect("monitored fleet carries a rollup");
     assert_eq!(slo.monitored, 8, "every device is monitored");

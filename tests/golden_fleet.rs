@@ -13,7 +13,7 @@
 //!     --json tests/golden/fleet_8dev_seed42.json
 //! ```
 
-use fleet::{run_fleet, FleetSpec};
+use fleet::{run_fleet_opts, FleetSpec, RunOptions};
 use simcore::par::Jobs;
 
 fn golden_spec() -> FleetSpec {
@@ -28,7 +28,8 @@ fn golden_json() -> String {
 
 #[test]
 fn fleet_report_matches_golden_bytes() {
-    let report = run_fleet(&golden_spec(), Jobs::Auto).expect("golden fleet runs");
+    let report = run_fleet_opts(&golden_spec(), Jobs::Auto, &RunOptions::default())
+        .expect("golden fleet runs");
     assert_eq!(
         report.to_json_pretty(),
         golden_json(),
@@ -39,7 +40,8 @@ fn fleet_report_matches_golden_bytes() {
 #[test]
 fn fleet_golden_holds_at_every_jobs_count() {
     for jobs in [1, 2, 8] {
-        let report = run_fleet(&golden_spec(), Jobs::Count(jobs)).expect("golden fleet runs");
+        let report = run_fleet_opts(&golden_spec(), Jobs::Count(jobs), &RunOptions::default())
+            .expect("golden fleet runs");
         assert_eq!(
             report.to_json_pretty(),
             golden_json(),

@@ -11,7 +11,8 @@
 
 use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
+use powermgr::{SharedResources, SystemSimulator};
 use simcore::json::ToJson;
 use simcore::par::set_default_jobs;
 use trace::{NullSink, RingSink};
@@ -34,7 +35,9 @@ fn golden_json() -> String {
 
 #[test]
 fn simreport_matches_pre_rewrite_golden_bytes() {
-    let report = scenario::run_mp3_sequence("AB", &golden_config(), 42).unwrap();
+    let report = Workload::Mp3("AB".into())
+        .run(&golden_config(), 42, Attachments::default())
+        .unwrap();
     assert_eq!(
         report.to_json().dump(),
         golden_json(),
@@ -47,7 +50,16 @@ fn traced_simreport_matches_golden_bytes() {
     // Tracing must not perturb the run: a null sink and a recording
     // sink both produce the identical report bytes.
     let mut null = NullSink;
-    let report = scenario::run_mp3_sequence_traced("AB", &golden_config(), 42, &mut null).unwrap();
+    let report = Workload::Mp3("AB".into())
+        .run(
+            &golden_config(),
+            42,
+            Attachments {
+                sink: Some(&mut null),
+                ..Attachments::default()
+            },
+        )
+        .unwrap();
     assert_eq!(
         report.to_json().dump(),
         golden_json(),
@@ -55,7 +67,16 @@ fn traced_simreport_matches_golden_bytes() {
     );
 
     let mut ring = RingSink::new(4096);
-    let report = scenario::run_mp3_sequence_traced("AB", &golden_config(), 42, &mut ring).unwrap();
+    let report = Workload::Mp3("AB".into())
+        .run(
+            &golden_config(),
+            42,
+            Attachments {
+                sink: Some(&mut ring),
+                ..Attachments::default()
+            },
+        )
+        .unwrap();
     assert_eq!(
         report.to_json().dump(),
         golden_json(),
@@ -70,7 +91,9 @@ fn simreport_matches_golden_at_any_calibration_thread_count() {
     // at the process-default job count; the report must not depend on it.
     for jobs in [1usize, 2, 4] {
         set_default_jobs(jobs);
-        let report = scenario::run_mp3_sequence("AB", &golden_config(), 42).unwrap();
+        let report = Workload::Mp3("AB".into())
+            .run(&golden_config(), 42, Attachments::default())
+            .unwrap();
         assert_eq!(
             report.to_json().dump(),
             golden_json(),
@@ -93,8 +116,12 @@ fn deep_spill_session_matches_pinned_kernel_counts() {
         dpm: DpmKind::Tismdp { delay_weight: 2.0 },
         ..SystemConfig::default()
     };
-    let trace = scenario::build_session(42).unwrap();
-    let (report, events) = scenario::run_trace_counted(&trace, &config, 42).unwrap();
+    let trace = Workload::Session.build(42).unwrap();
+    let (report, events) =
+        SystemSimulator::new_shared(&trace, config, 42, &SharedResources::default())
+            .unwrap()
+            .run_counted(trace.end())
+            .unwrap();
     let json = report.to_json().dump();
     assert_eq!(
         (

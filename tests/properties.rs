@@ -166,6 +166,7 @@ proptest! {
     #[test]
     fn simulator_conserves_frames_and_time(seed in 0u64..50, gov_pick in 0u8..3) {
         use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
+        use powermgr::scenario::Attachments;
         let governor = match gov_pick {
             0 => GovernorKind::Ideal,
             1 => GovernorKind::ExpAverage { gain: 0.3 },
@@ -181,7 +182,8 @@ proptest! {
         let mut rng = SimRng::seed_from(seed);
         let trace = workload::Mp3Clip::table2()[(seed % 6) as usize].generate(&mut rng);
         let n = trace.frames().len() as u64;
-        let report = powermgr::scenario::run_trace(&trace, &config, seed).expect("runs");
+        let report = powermgr::scenario::run_trace(&trace, &config, seed, Attachments::default())
+            .expect("runs");
         prop_assert_eq!(report.frames_completed, n);
         prop_assert!(report.total_energy_j() > 0.0);
         let mode_total: f64 = powermgr::metrics::ModeKey::ALL

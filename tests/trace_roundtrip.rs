@@ -16,7 +16,7 @@
 //!    and timestamps above `i64::MAX`.
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
-use powermgr::scenario;
+use powermgr::scenario::{Attachments, Workload};
 use proptest::prelude::*;
 use simcore::json::ToJson;
 use simcore::time::{SimDuration, SimTime};
@@ -27,7 +27,16 @@ use trace::{
 
 fn traced_jsonl(config: &SystemConfig, seed: u64) -> (String, powermgr::SimReport) {
     let mut sink = JsonlSink::new(Vec::new());
-    let report = scenario::run_mp3_sequence_traced("AB", config, seed, &mut sink).expect("runs");
+    let report = Workload::Mp3("AB".into())
+        .run(
+            config,
+            seed,
+            Attachments {
+                sink: Some(&mut sink),
+                ..Attachments::default()
+            },
+        )
+        .expect("runs");
     sink.finish().expect("in-memory write");
     (String::from_utf8(sink.into_inner()).expect("utf8"), report)
 }
@@ -41,7 +50,9 @@ fn traced_jsonl_replays_to_the_exact_report() {
         },
         ..SystemConfig::default()
     };
-    let untraced = scenario::run_mp3_sequence("AB", &config, 101).expect("runs");
+    let untraced = Workload::Mp3("AB".into())
+        .run(&config, 101, Attachments::default())
+        .expect("runs");
     let (text, traced) = traced_jsonl(&config, 101);
     assert_eq!(
         untraced.to_json().dump(),
@@ -121,7 +132,16 @@ fn filtered_stream_keeps_only_requested_kinds() {
     };
     let keep = KindSet::parse("freq,sleep").expect("valid kinds");
     let mut sink = FilteredSink::new(JsonlSink::new(Vec::new()), keep);
-    let report = scenario::run_mp3_sequence_traced("AB", &config, 101, &mut sink).expect("runs");
+    let report = Workload::Mp3("AB".into())
+        .run(
+            &config,
+            101,
+            Attachments {
+                sink: Some(&mut sink),
+                ..Attachments::default()
+            },
+        )
+        .expect("runs");
     sink.finish().expect("in-memory write");
     let text = String::from_utf8(sink.into_inner().into_inner()).expect("utf8");
     let events = parse_jsonl(&text).expect("valid JSONL");
