@@ -446,7 +446,7 @@ mod tests {
         let mut m = manager(GovernorKind::Ideal);
         let plan = m.plan_idle(&mut SimRng::seed_from(0));
         assert_eq!(
-            plan.transitions.len(),
+            plan.transitions().len(),
             1,
             "break-even timeout plans one step"
         );

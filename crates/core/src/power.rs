@@ -19,7 +19,7 @@
 
 use hardware::component::ComponentId;
 use hardware::cpu::OperatingPoint;
-use hardware::energy::EnergyMeter;
+use hardware::energy::{EnergyMeter, PowerDraw};
 use hardware::smartbadge::DecodeMemory;
 use hardware::{PowerState, SmartBadge};
 use simcore::time::SimDuration;
@@ -34,10 +34,11 @@ pub const MANAGED_COMPONENTS: [ComponentId; 4] = [
 ];
 
 /// Power draw per managed component, milliwatts, in
-/// [`MANAGED_COMPONENTS`] order.
+/// [`MANAGED_COMPONENTS`] order. Every constructor checks each draw
+/// once, so integrating a profile on every simulated event does not.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
-    mw: [f64; 4],
+    mw: [PowerDraw; 4],
 }
 
 impl PowerProfile {
@@ -57,7 +58,8 @@ impl PowerProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `mem_activity` is outside `(0, 1]`.
+    /// Panics if `mem_activity` is outside `(0, 1]`, or if a component's
+    /// power is negative or not finite.
     #[must_use]
     pub fn decode(
         badge: &SmartBadge,
@@ -74,9 +76,9 @@ impl PowerProfile {
             DecodeMemory::Sram => (ComponentId::Sram, ComponentId::Dram),
             DecodeMemory::Dram => (ComponentId::Dram, ComponentId::Sram),
         };
-        let mut profile = PowerProfile { mw: [0.0; 4] };
+        let mut mw = [0.0; 4];
         for (i, id) in MANAGED_COMPONENTS.iter().enumerate() {
-            profile.mw[i] = match *id {
+            mw[i] = match *id {
                 ComponentId::Cpu => badge.cpu().active_power_mw(op),
                 ComponentId::Flash => badge.component(*id).idle_mw,
                 id if id == decode_mem => {
@@ -87,17 +89,21 @@ impl PowerProfile {
                 _ => unreachable!("all managed components covered"),
             };
         }
-        profile
+        PowerProfile {
+            mw: mw.map(PowerDraw::new),
+        }
     }
 
     /// Profile with every managed component in `state`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a component's power is negative or not finite.
     #[must_use]
     pub fn uniform(badge: &SmartBadge, state: PowerState) -> Self {
-        let mut profile = PowerProfile { mw: [0.0; 4] };
-        for (i, id) in MANAGED_COMPONENTS.iter().enumerate() {
-            profile.mw[i] = badge.component(*id).power_mw(state);
+        PowerProfile {
+            mw: MANAGED_COMPONENTS.map(|id| PowerDraw::new(badge.component(id).power_mw(state))),
         }
-        profile
     }
 
     /// Profile during a wake-up transition: every managed component at
@@ -110,7 +116,7 @@ impl PowerProfile {
     /// Total subsystem power, milliwatts.
     #[must_use]
     pub fn total_mw(&self) -> f64 {
-        self.mw.iter().sum()
+        self.mw.iter().map(|d| d.mw()).sum()
     }
 
     /// Integrates this profile over `dt` into the meter, attributing per
@@ -118,7 +124,7 @@ impl PowerProfile {
     #[inline]
     pub fn accumulate_into(&self, meter: &mut EnergyMeter, dt: SimDuration) {
         for (i, id) in MANAGED_COMPONENTS.iter().enumerate() {
-            meter.accumulate(*id, self.mw[i], dt);
+            meter.add_draw(*id, self.mw[i], dt);
         }
         meter.advance_time(dt);
     }

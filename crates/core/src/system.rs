@@ -74,11 +74,13 @@ fn sleep_kind(state: SleepState) -> SleepKind {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum Event {
     /// Frame `index` of the trace arrives.
     Arrival(usize),
-    /// The frame currently decoding completes.
+    /// The frame currently decoding completes. Also the filler of a
+    /// free [`LaneQueue`] lane, which is never read.
+    #[default]
     DecodeDone,
     /// The DPM plan commands a sleep state (valid only for `epoch`).
     SleepCmd { epoch: u64, state: SleepState },
@@ -239,6 +241,9 @@ pub struct SystemSimulator<'t> {
     /// selection until the switch lands at a decode start (and stays
     /// behind it if a faulty switch is abandoned).
     physical_op: OperatingPoint,
+    /// `freq_key(physical_op)`, computed once per switch rather than per
+    /// decoding interval.
+    physical_freq_key: u32,
     /// `true` when deadline misses are tracked (faults or supervisor
     /// configured); clean paper runs skip it so reports stay identical.
     track_deadlines: bool,
@@ -332,6 +337,7 @@ impl<'t> SystemSimulator<'t> {
             last_arrival: None,
             next_arrival_scheduled: false,
             physical_op,
+            physical_freq_key: freq_key(physical_op),
             track_deadlines,
             meter: EnergyMeter::new(),
             delays: OnlineStats::new(),
@@ -584,7 +590,7 @@ impl<'t> SystemSimulator<'t> {
             self.metrics.advance_ns(ns);
             self.hot.mode_ns[self.mode.key().trace_mode().index() as usize] += ns;
             if matches!(self.mode, Mode::Decoding) {
-                self.hot.add_freq_ns(freq_key(self.physical_op), ns);
+                self.hot.add_freq_ns(self.physical_freq_key, ns);
             }
             self.last_account = now;
         }
@@ -772,13 +778,15 @@ impl<'t> SystemSimulator<'t> {
                 // stays pending and is retried at the next decode start.
             } else {
                 let from = self.physical_op;
+                let from_key = self.physical_freq_key;
                 self.physical_op = desired;
+                self.physical_freq_key = freq_key(desired);
                 self.hot.freq_switches += 1;
                 if TRACED {
                     self.emit(TraceEvent::FreqSwitch {
                         at: now,
-                        from_tenths_mhz: freq_key(from),
-                        to_tenths_mhz: freq_key(desired),
+                        from_tenths_mhz: from_key,
+                        to_tenths_mhz: self.physical_freq_key,
                         from_mv: millivolts(from),
                         to_mv: millivolts(desired),
                     });
@@ -790,7 +798,7 @@ impl<'t> SystemSimulator<'t> {
         if TRACED {
             self.emit(TraceEvent::DecodeStart {
                 at: now,
-                freq_tenths_mhz: freq_key(self.physical_op),
+                freq_tenths_mhz: self.physical_freq_key,
             });
         }
         let stretch = self.manager.dvs().stretch(frame.kind, self.physical_op);
@@ -817,7 +825,7 @@ impl<'t> SystemSimulator<'t> {
             self.emit(TraceEvent::FrameDone {
                 at: now,
                 delay_s,
-                freq_tenths_mhz: freq_key(self.physical_op),
+                freq_tenths_mhz: self.physical_freq_key,
             });
         }
         let was_degraded = TRACED && self.manager.is_degraded();
@@ -867,7 +875,7 @@ impl<'t> SystemSimulator<'t> {
             self.emit(TraceEvent::IdleEnter { at: now });
         }
         let plan = self.manager.plan_idle(&mut self.rng);
-        for (after, state) in plan.transitions {
+        for &(after, state) in plan.transitions() {
             self.queue.push(
                 LANE_SLEEP,
                 now.saturating_add(after),

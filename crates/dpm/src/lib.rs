@@ -39,7 +39,7 @@
 //! let mut policy = TismdpPolicy::solve(&costs, &idle_model, TismdpConfig::default())?;
 //! let plan = policy.plan_idle(&mut SimRng::seed_from(1));
 //! // Heavy-tailed idle times: the policy eventually commands a sleep state.
-//! assert!(!plan.transitions.is_empty());
+//! assert!(!plan.transitions().is_empty());
 //! # Ok(())
 //! # }
 //! ```

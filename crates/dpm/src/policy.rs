@@ -44,35 +44,63 @@ impl SleepState {
 /// `state` once the idle period has lasted `after`.
 ///
 /// Transitions must be sorted by time and strictly deepening
-/// (standby before off).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// (standby before off), so a plan holds at most two. It keeps them in
+/// a fixed two-slot array: planning an idle period allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdlePlan {
-    /// `(time since idle entry, state to command)`.
-    pub transitions: Vec<(SimDuration, SleepState)>,
+    /// Slots `..len` hold the plan; the rest hold [`Self::UNUSED`].
+    steps: [(SimDuration, SleepState); 2],
+    len: usize,
 }
 
 impl IdlePlan {
+    /// Filler of an unused slot; one fixed value keeps the derived
+    /// equality exact.
+    const UNUSED: (SimDuration, SleepState) = (SimDuration::ZERO, SleepState::Standby);
+
     /// A plan that never sleeps.
     #[must_use]
     pub fn stay_idle() -> Self {
         IdlePlan {
-            transitions: Vec::new(),
+            steps: [Self::UNUSED; 2],
+            len: 0,
         }
     }
 
     /// A plan with a single transition.
     #[must_use]
     pub fn single(after: SimDuration, state: SleepState) -> Self {
-        IdlePlan {
-            transitions: vec![(after, state)],
-        }
+        Self::stay_idle().then(after, state)
+    }
+
+    /// This plan with `state` commanded once the idle period has lasted
+    /// `after`, after the transitions it already holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan already holds two transitions.
+    #[must_use]
+    pub fn then(mut self, after: SimDuration, state: SleepState) -> Self {
+        assert!(
+            self.len < self.steps.len(),
+            "an idle plan holds at most two transitions"
+        );
+        self.steps[self.len] = (after, state);
+        self.len += 1;
+        self
+    }
+
+    /// `(time since idle entry, state to command)`, in command order.
+    #[must_use]
+    pub fn transitions(&self) -> &[(SimDuration, SleepState)] {
+        &self.steps[..self.len]
     }
 
     /// Checks the plan invariants: sorted times, strictly deepening
     /// states.
     #[must_use]
     pub fn is_well_formed(&self) -> bool {
-        self.transitions
+        self.transitions()
             .windows(2)
             .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1)
     }
@@ -81,11 +109,17 @@ impl IdlePlan {
     /// length `idle_len`, if any.
     #[must_use]
     pub fn deepest_reached(&self, idle_len: SimDuration) -> Option<SleepState> {
-        self.transitions
+        self.transitions()
             .iter()
             .filter(|(after, _)| *after <= idle_len)
             .map(|&(_, s)| s)
             .max()
+    }
+}
+
+impl Default for IdlePlan {
+    fn default() -> Self {
+        Self::stay_idle()
     }
 }
 
@@ -146,38 +180,31 @@ mod tests {
 
     #[test]
     fn plan_well_formedness() {
-        let good = IdlePlan {
-            transitions: vec![
-                (SimDuration::from_secs(1), SleepState::Standby),
-                (SimDuration::from_secs(10), SleepState::Off),
-            ],
-        };
+        let good = IdlePlan::single(SimDuration::from_secs(1), SleepState::Standby)
+            .then(SimDuration::from_secs(10), SleepState::Off);
         assert!(good.is_well_formed());
-        let bad_order = IdlePlan {
-            transitions: vec![
-                (SimDuration::from_secs(10), SleepState::Standby),
-                (SimDuration::from_secs(1), SleepState::Off),
-            ],
-        };
+        let bad_order = IdlePlan::single(SimDuration::from_secs(10), SleepState::Standby)
+            .then(SimDuration::from_secs(1), SleepState::Off);
         assert!(!bad_order.is_well_formed());
-        let bad_depth = IdlePlan {
-            transitions: vec![
-                (SimDuration::from_secs(1), SleepState::Off),
-                (SimDuration::from_secs(10), SleepState::Standby),
-            ],
-        };
+        let bad_depth = IdlePlan::single(SimDuration::from_secs(1), SleepState::Off)
+            .then(SimDuration::from_secs(10), SleepState::Standby);
         assert!(!bad_depth.is_well_formed());
         assert!(IdlePlan::stay_idle().is_well_formed());
+        assert_eq!(IdlePlan::default(), IdlePlan::stay_idle());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most two transitions")]
+    fn a_third_transition_panics() {
+        let _ = IdlePlan::single(SimDuration::from_secs(1), SleepState::Standby)
+            .then(SimDuration::from_secs(2), SleepState::Off)
+            .then(SimDuration::from_secs(3), SleepState::Off);
     }
 
     #[test]
     fn deepest_reached() {
-        let plan = IdlePlan {
-            transitions: vec![
-                (SimDuration::from_secs(1), SleepState::Standby),
-                (SimDuration::from_secs(10), SleepState::Off),
-            ],
-        };
+        let plan = IdlePlan::single(SimDuration::from_secs(1), SleepState::Standby)
+            .then(SimDuration::from_secs(10), SleepState::Off);
         assert_eq!(plan.deepest_reached(SimDuration::from_millis(500)), None);
         assert_eq!(
             plan.deepest_reached(SimDuration::from_secs(5)),
@@ -193,7 +220,7 @@ mod tests {
     fn no_sleep_baseline() {
         let mut p = NoSleep::new();
         let plan = p.plan_idle(&mut SimRng::seed_from(0));
-        assert!(plan.transitions.is_empty());
+        assert!(plan.transitions().is_empty());
         assert_eq!(p.name(), "none");
         p.on_idle_end(SimDuration::from_secs(100), None); // default no-op
     }

@@ -96,7 +96,7 @@ mod tests {
             p.on_idle_end(SimDuration::from_secs(60), Some(SleepState::Standby));
         }
         let plan = p.plan_idle(&mut SimRng::seed_from(0));
-        assert_eq!(plan.transitions[0].0, SimDuration::ZERO);
+        assert_eq!(plan.transitions()[0].0, SimDuration::ZERO);
     }
 
     #[test]
@@ -113,7 +113,7 @@ mod tests {
                     .as_secs_f64()
         );
         let plan = p.plan_idle(&mut SimRng::seed_from(0));
-        assert!(plan.transitions[0].0 > SimDuration::ZERO);
+        assert!(plan.transitions()[0].0 > SimDuration::ZERO);
     }
 
     #[test]

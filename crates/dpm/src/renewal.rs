@@ -376,7 +376,7 @@ mod tests {
         let plan = p.plan_idle(&mut SimRng::seed_from(1));
         // The "never" timeout is the horizon — effectively unreachable for
         // this distribution's realistic idle lengths.
-        assert!(plan.transitions[0].0.as_secs_f64() >= 50.0);
+        assert!(plan.transitions()[0].0.as_secs_f64() >= 50.0);
     }
 
     #[test]
@@ -403,7 +403,7 @@ mod tests {
                 let mut saw_lo = false;
                 let mut saw_hi = false;
                 for _ in 0..500 {
-                    let tau = p.plan_idle(&mut rng).transitions[0].0.as_secs_f64();
+                    let tau = p.plan_idle(&mut rng).transitions()[0].0.as_secs_f64();
                     if (tau - lo).abs() < 1e-6 {
                         saw_lo = true;
                     }

@@ -174,7 +174,7 @@ mod tests {
         let mut p = FixedTimeout::new(SimDuration::from_secs(2), SleepState::Standby).unwrap();
         let plan = p.plan_idle(&mut SimRng::seed_from(0));
         assert_eq!(
-            plan.transitions,
+            plan.transitions(),
             vec![(SimDuration::from_secs(2), SleepState::Standby)]
         );
         assert!(plan.is_well_formed());
@@ -184,7 +184,7 @@ mod tests {
     fn immediate_sleeps_at_zero() {
         let mut p = FixedTimeout::immediate(SleepState::Off);
         let plan = p.plan_idle(&mut SimRng::seed_from(0));
-        assert_eq!(plan.transitions[0].0, SimDuration::ZERO);
+        assert_eq!(plan.transitions()[0].0, SimDuration::ZERO);
     }
 
     #[test]

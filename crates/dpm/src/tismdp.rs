@@ -211,7 +211,7 @@ impl TismdpPolicy {
     }
 
     fn extract_plan(edges: &[f64], choice: &[[Mode; 3]]) -> IdlePlan {
-        let mut transitions = Vec::new();
+        let mut plan = IdlePlan::stay_idle();
         let mut mode = Mode::Idle;
         for (i, row) in choice.iter().enumerate() {
             let next_mode = row[mode.index()];
@@ -221,11 +221,11 @@ impl TismdpPolicy {
                     Mode::Off => SleepState::Off,
                     Mode::Idle => unreachable!("deepening only"),
                 };
-                transitions.push((SimDuration::from_secs_f64(edges[i]), state));
+                plan = plan.then(SimDuration::from_secs_f64(edges[i]), state);
             }
             mode = next_mode;
         }
-        IdlePlan { transitions }
+        plan
     }
 
     /// The optimal expected cost per idle period
@@ -250,7 +250,7 @@ impl TismdpPolicy {
     /// `true` if the policy never commands any sleep state.
     #[must_use]
     pub fn never_sleeps(&self) -> bool {
-        self.plan.transitions.is_empty()
+        self.plan.transitions().is_empty()
     }
 
     /// The time (seconds from idle entry) at which the policy first
@@ -258,7 +258,7 @@ impl TismdpPolicy {
     #[must_use]
     pub fn first_command(&self, state: SleepState) -> Option<f64> {
         self.plan
-            .transitions
+            .transitions()
             .iter()
             .find(|&&(_, s)| s == state)
             .map(|&(t, _)| t.as_secs_f64())
@@ -285,7 +285,7 @@ impl TismdpPolicy {
 
 impl DpmPolicy for TismdpPolicy {
     fn plan_idle(&mut self, _rng: &mut SimRng) -> IdlePlan {
-        self.plan.clone()
+        self.plan
     }
 
     fn name(&self) -> &'static str {
@@ -372,13 +372,13 @@ mod tests {
         .unwrap();
         let t_eager = eager
             .plan()
-            .transitions
+            .transitions()
             .first()
             .map(|&(t, _)| t.as_secs_f64())
             .unwrap_or(f64::INFINITY);
         let t_cautious = cautious
             .plan()
-            .transitions
+            .transitions()
             .first()
             .map(|&(t, _)| t.as_secs_f64())
             .unwrap_or(f64::INFINITY);
@@ -415,7 +415,7 @@ mod tests {
             },
         )
         .unwrap();
-        if let Some((t, _)) = p.plan().transitions.first() {
+        if let Some((t, _)) = p.plan().transitions().first() {
             assert!(
                 t.as_secs_f64() <= p.edges()[1] + 1e-9,
                 "memoryless ⇒ sleep immediately, got {t}"

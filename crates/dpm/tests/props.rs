@@ -112,7 +112,7 @@ proptest! {
         let cautious = solve(w1 + extra);
         let first = |p: &TismdpPolicy| {
             p.plan()
-                .transitions
+                .transitions()
                 .first()
                 .map(|&(t, _)| t.as_secs_f64())
                 .unwrap_or(f64::INFINITY)

@@ -1,12 +1,12 @@
-//! Operational FIFO frame buffer with delay and occupancy statistics.
+//! Operational FIFO frame buffer.
 //!
 //! The SmartBadge buffers arriving frames until the decoder pulls them
 //! (paper Section 2.3: frames "do not have priority", so the queue is a
-//! plain FIFO of frames awaiting service). [`FrameBuffer`] additionally
-//! records the statistics the experiments report: per-frame queueing
-//! delay and the time-weighted mean/peak occupancy.
+//! plain FIFO of frames awaiting service). [`FrameBuffer`] hands each
+//! popped frame back with its queueing delay and counts pushes, pops,
+//! drops and the peak occupancy; the per-frame delay statistics the
+//! experiments report are the simulator's own.
 
-use simcore::stats::{OnlineStats, TimeWeighted};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -20,7 +20,7 @@ pub enum DropPolicy {
     DropOldest,
 }
 
-/// A FIFO buffer of frames with built-in statistics.
+/// A FIFO buffer of frames with push, pop, drop and peak counters.
 ///
 /// Generic over the frame payload so any crate can use it without
 /// circular dependencies.
@@ -42,8 +42,6 @@ pub enum DropPolicy {
 #[derive(Debug, Clone)]
 pub struct FrameBuffer<T> {
     queue: VecDeque<(SimTime, T)>,
-    delays: OnlineStats,
-    occupancy: TimeWeighted,
     last_change: SimTime,
     peak: usize,
     total_pushed: u64,
@@ -59,8 +57,6 @@ impl<T> FrameBuffer<T> {
     pub fn new() -> Self {
         FrameBuffer {
             queue: VecDeque::new(),
-            delays: OnlineStats::new(),
-            occupancy: TimeWeighted::new(),
             last_change: SimTime::ZERO,
             peak: 0,
             total_pushed: 0,
@@ -106,8 +102,7 @@ impl<T> FrameBuffer<T> {
     /// itself under [`DropPolicy::DropNewest`], or the evicted oldest
     /// frame under [`DropPolicy::DropOldest`]. Unbounded buffers never
     /// drop. Dropped frames are counted in
-    /// [`total_dropped`](Self::total_dropped) and do not enter the delay
-    /// statistics.
+    /// [`total_dropped`](Self::total_dropped).
     ///
     /// # Panics
     ///
@@ -156,7 +151,6 @@ impl<T> FrameBuffer<T> {
         self.advance(now);
         let (arrived, frame) = self.queue.pop_front()?;
         let waited = now.saturating_since(arrived);
-        self.delays.push(waited.as_secs_f64());
         self.total_popped += 1;
         Some((frame, waited))
     }
@@ -197,37 +191,18 @@ impl<T> FrameBuffer<T> {
         self.total_popped
     }
 
-    /// Statistics of per-frame queueing delays (seconds), over popped
-    /// frames.
-    #[must_use]
-    pub fn delay_stats(&self) -> &OnlineStats {
-        &self.delays
-    }
-
-    /// Time-weighted mean occupancy up to the last recorded event.
-    #[must_use]
-    pub fn mean_occupancy(&self) -> f64 {
-        self.occupancy.mean()
-    }
-
-    /// Folds the elapsed interval into the occupancy integral; called
-    /// automatically by `push`/`pop`, and callable at the end of a run to
-    /// account for the final quiet interval.
+    /// Records `now` as the buffer's latest event time.
     ///
     /// # Panics
     ///
     /// Panics if `now` precedes the last recorded event.
-    pub fn advance(&mut self, now: SimTime) {
+    fn advance(&mut self, now: SimTime) {
         assert!(
             now >= self.last_change,
             "buffer time must not go backwards: {now} < {last}",
             last = self.last_change
         );
-        let dt = now - self.last_change;
-        if !dt.is_zero() {
-            self.occupancy.add(self.queue.len() as f64, dt);
-            self.last_change = now;
-        }
+        self.last_change = now;
     }
 }
 
@@ -263,7 +238,6 @@ mod tests {
         b.push(t(10), 1u8);
         let (_, waited) = b.pop(t(25)).unwrap();
         assert_eq!(waited, SimDuration::from_millis(15));
-        assert!((b.delay_stats().mean() - 0.015).abs() < 1e-12);
     }
 
     #[test]
@@ -273,9 +247,6 @@ mod tests {
         b.push(t(10), 1); // 2 frames from 10..20
         b.pop(t(20)); // 1 frame from 20..40
         b.pop(t(40)); // 0 frames afterwards
-        b.advance(t(50));
-        // integral = 1*10 + 2*10 + 1*20 + 0*10 = 50 frame·ms over 50 ms
-        assert!((b.mean_occupancy() - 1.0).abs() < 1e-9);
         assert_eq!(b.peak_occupancy(), 2);
     }
 
@@ -370,7 +341,6 @@ mod tests {
         b.offer(t(0), 'a');
         b.offer(t(1), 'b'); // dropped
         b.pop(t(10));
-        assert_eq!(b.delay_stats().count(), 1);
         assert_eq!(b.total_pushed(), 1);
         assert_eq!(b.total_popped(), 1);
     }

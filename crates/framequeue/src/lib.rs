@@ -6,7 +6,7 @@
 //! views of that buffer live here:
 //!
 //! * [`buffer`] — the operational FIFO [`buffer::FrameBuffer`] used by the
-//!   system simulator, with delay and occupancy statistics,
+//!   system simulator, with push, pop, drop and peak-occupancy counters,
 //! * [`mm1`] — the analytical M/M/1 model the DVS policy uses to pick the
 //!   service (decode) rate that holds the mean buffered-frame delay
 //!   constant (paper Eq. 5),

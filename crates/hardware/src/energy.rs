@@ -8,6 +8,34 @@ use crate::component::ComponentId;
 use simcore::json::{Json, ToJson};
 use simcore::time::SimDuration;
 
+/// A power draw in milliwatts, checked finite and non-negative when it
+/// is made, so [`EnergyMeter::add_draw`] can integrate it on every
+/// simulated event without checking it again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerDraw(f64);
+
+impl PowerDraw {
+    /// Wraps `mw` milliwatts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mw` is negative or not finite.
+    #[must_use]
+    pub fn new(mw: f64) -> Self {
+        assert!(
+            mw.is_finite() && mw >= 0.0,
+            "power must be finite and non-negative, got {mw}"
+        );
+        PowerDraw(mw)
+    }
+
+    /// The draw in milliwatts.
+    #[must_use]
+    pub fn mw(self) -> f64 {
+        self.0
+    }
+}
+
 /// Integrates component power draws over time.
 ///
 /// # Example
@@ -50,13 +78,16 @@ impl EnergyMeter {
     /// Panics if `power_mw` is negative or not finite.
     #[inline]
     pub fn accumulate(&mut self, id: ComponentId, power_mw: f64, dt: SimDuration) {
-        assert!(
-            power_mw.is_finite() && power_mw >= 0.0,
-            "power must be finite and non-negative, got {power_mw}"
-        );
+        self.add_draw(id, PowerDraw::new(power_mw), dt);
+    }
+
+    /// Adds `draw`, drawn by `id` for duration `dt`; the power was
+    /// checked when the [`PowerDraw`] was made.
+    #[inline]
+    pub fn add_draw(&mut self, id: ComponentId, draw: PowerDraw, dt: SimDuration) {
         let i = id.index();
         self.touched[i] = true;
-        self.joules[i] += power_mw * 1e-3 * dt.as_secs_f64();
+        self.joules[i] += draw.0 * 1e-3 * dt.as_secs_f64();
     }
 
     /// Records wall-clock progress without attributing energy; used so the

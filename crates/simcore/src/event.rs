@@ -200,6 +200,14 @@ impl<E> Default for EventQueue<E> {
 /// scan over the `LANES` lane keys and the spill's minimum, so the
 /// lanes themselves never pay for sifting.
 ///
+/// Each lane is a packed `(time, sequence)` key plus a plain `E`
+/// payload. The key alone says whether the lane is occupied: a free
+/// lane holds the sentinel key `u128::MAX` and keeps the payload it
+/// last held (or `E::default()`), which is never read. Hence the
+/// `E: Copy + Default` bound: a pop copies the payload out instead of
+/// taking an `Option<E>` and writing `None` back, a round trip through
+/// the stack where a sampled profile found a store-forwarding stall.
+///
 /// The lane index is a **placement hint only**: it never affects
 /// ordering. Every push draws from one global sequence counter and
 /// pops are ordered by `(time, sequence)` exactly like [`EventQueue`],
@@ -233,9 +241,9 @@ pub struct LaneQueue<E, const LANES: usize> {
     /// scans one cache line of plain integers instead of walking full
     /// entries whose payloads can be large.
     keys: [u128; LANES],
-    /// Event payloads per lane; occupied exactly when the matching key
-    /// is not [`EMPTY_KEY`].
-    slots: [Option<E>; LANES],
+    /// Event payloads per lane; meaningful exactly when the matching
+    /// key is not [`EMPTY_KEY`] (a free lane's payload is stale).
+    slots: [E; LANES],
     /// Overflow entries, a min-heap on `(at, seq)` through [`Entry`]'s
     /// inverted ordering (the one [`EventQueue`] uses), so the spill's
     /// candidate for the argmin is `spill.peek()`.
@@ -255,7 +263,7 @@ const fn pack_key(at: SimTime, seq: u64) -> u128 {
     ((at.as_nanos() as u128) << 64) | seq as u128
 }
 
-impl<E, const LANES: usize> LaneQueue<E, LANES> {
+impl<E: Copy + Default, const LANES: usize> LaneQueue<E, LANES> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     #[must_use]
     pub fn new() -> Self {
@@ -270,7 +278,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
     pub fn with_spill_capacity(capacity: usize) -> Self {
         LaneQueue {
             keys: [EMPTY_KEY; LANES],
-            slots: std::array::from_fn(|_| None),
+            slots: [E::default(); LANES],
             spill: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -307,7 +315,7 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
         debug_assert!(seq != u64::MAX, "sequence counter exhausted");
         if lane < LANES && self.keys[lane] == EMPTY_KEY {
             self.keys[lane] = pack_key(at, seq);
-            self.slots[lane] = Some(event);
+            self.slots[lane] = event;
         } else {
             self.spill.push(Entry { at, seq, event });
         }
@@ -344,8 +352,10 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
             (e.at, e.event)
         } else {
             self.keys[best_lane] = EMPTY_KEY;
-            let event = self.slots[best_lane].take().expect("argmin picked a slot");
-            (SimTime::from_nanos((best >> 64) as u64), event)
+            (
+                SimTime::from_nanos((best >> 64) as u64),
+                self.slots[best_lane],
+            )
         };
         self.now = at;
         Some(Scheduled { at, event })
@@ -383,14 +393,11 @@ impl<E, const LANES: usize> LaneQueue<E, LANES> {
     /// Discards all pending events without advancing the clock.
     pub fn clear(&mut self) {
         self.keys = [EMPTY_KEY; LANES];
-        for slot in &mut self.slots {
-            *slot = None;
-        }
         self.spill.clear();
     }
 }
 
-impl<E, const LANES: usize> Default for LaneQueue<E, LANES> {
+impl<E: Copy + Default, const LANES: usize> Default for LaneQueue<E, LANES> {
     fn default() -> Self {
         Self::new()
     }

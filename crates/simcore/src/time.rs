@@ -189,11 +189,28 @@ fn secs_to_nanos(secs: f64) -> u64 {
         "time in seconds must be finite and non-negative, got {secs}"
     );
     let nanos = secs * NANOS_PER_SEC as f64;
+    // `u64::MAX as f64` is 2^64 itself, so the bound is strict.
     assert!(
-        nanos <= u64::MAX as f64,
+        nanos < u64::MAX as f64,
         "time in seconds too large to represent: {secs}"
     );
-    nanos.round() as u64
+    round_to_u64(nanos)
+}
+
+/// `x.round() as u64` for finite `0 <= x < 2^64`, without the libm call
+/// `f64::round` costs on baseline x86-64 (which has no rounding
+/// instruction). Below 2^52, `whole` converts back to `f64` exactly and
+/// `x - whole` is exactly the fractional part; from 2^52 up every double
+/// is an integer and the fraction is zero. Ties round away from zero, as
+/// `f64::round` does.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole + 1
+    } else {
+        whole
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -325,6 +342,54 @@ mod tests {
     fn display_formats_in_seconds() {
         assert_eq!(SimDuration::from_millis(1500).to_string(), "1.500000s");
         assert_eq!(SimTime::from_secs_f64(0.25).to_string(), "0.250000s");
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_edge_values() {
+        let two_52 = 2f64.powi(52);
+        let two_53 = 2f64.powi(53);
+        let below_2_64 = f64::from_bits(2f64.powi(64).to_bits() - 1);
+        let mut values = vec![
+            0.0,
+            0.5,
+            0.499_999_999_999_999_94,
+            1.5,
+            2.5,
+            2f64.powi(63),
+            below_2_64,
+        ];
+        for edge in [two_52, two_53] {
+            values.extend([
+                f64::from_bits(edge.to_bits() - 1),
+                edge,
+                f64::from_bits(edge.to_bits() + 1),
+            ]);
+        }
+        for x in values {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_a_seeded_sweep() {
+        let mut rng = crate::rng::SimRng::seed_from(0x5EC5);
+        for _ in 0..200_000 {
+            // Uniform bit patterns below 2^64 cover every binade; the
+            // scaled uniform draws cover the simulator's range densely.
+            let bits = rng.next_u64() % 2f64.powi(64).to_bits();
+            let x = f64::from_bits(bits);
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+            let y = rng.next_f64() * 1e12;
+            assert_eq!(round_to_u64(y), y.round() as u64, "y = {y:e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too large to represent")]
+    fn two_to_the_64_nanoseconds_panics() {
+        let secs = 2f64.powi(64) / NANOS_PER_SEC as f64;
+        assert_eq!(secs * NANOS_PER_SEC as f64, 2f64.powi(64));
+        let _ = SimTime::from_secs_f64(secs);
     }
 
     #[test]

@@ -67,9 +67,14 @@ pub fn generate_with_floor(schedule: &RateSchedule, floor: f64, rng: &mut SimRng
     let mut block = [0.0f64; GAP_BLOCK];
     let mut pos = GAP_BLOCK; // empty; filled on first draw
     let mut consumed: u64 = 0;
+    // `t` never decreases, so forward cursors answer the per-gap rate and
+    // boundary lookups. Two of them, because the rate is read at `t`
+    // clamped below the end and the boundary at `t` itself.
+    let mut rates = schedule.cursor();
+    let mut boundaries = schedule.cursor();
     let mut t = 0.0;
     loop {
-        let rate = schedule.rate_at(f64::min(t, total * (1.0 - 1e-12)));
+        let rate = rates.rate(f64::min(t, total * (1.0 - 1e-12)));
         let mean_gap = 1.0 / rate;
         assert!(
             floor < mean_gap,
@@ -86,7 +91,7 @@ pub fn generate_with_floor(schedule: &RateSchedule, floor: f64, rng: &mut SimRng
         let candidate = t + gap;
         // Memoryless restart at segment boundaries: if the gap crosses into
         // a segment with a different rate, restart sampling at the boundary.
-        let boundary = next_boundary(schedule, t);
+        let boundary = boundaries.segment_end(t);
         if candidate > boundary && boundary < total {
             t = boundary;
             continue;
@@ -112,20 +117,21 @@ pub fn generate_jittered(schedule: &RateSchedule, rng: &mut SimRng) -> Vec<f64> 
     generate_with_floor(schedule, 0.012, rng)
 }
 
-fn next_boundary(schedule: &RateSchedule, t: f64) -> f64 {
-    let mut elapsed = 0.0;
-    for s in schedule.segments() {
-        elapsed += s.duration;
-        if t < elapsed {
-            return elapsed;
-        }
-    }
-    elapsed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The from-the-start boundary scan the generator's cursor replaced.
+    fn next_boundary(schedule: &RateSchedule, t: f64) -> f64 {
+        let mut elapsed = 0.0;
+        for s in schedule.segments() {
+            elapsed += s.duration;
+            if t < elapsed {
+                return elapsed;
+            }
+        }
+        elapsed
+    }
 
     #[test]
     fn rate_is_respected_per_segment() {
@@ -181,8 +187,9 @@ mod tests {
         );
     }
 
-    /// The scalar one-draw-per-event loop the block sampler replaced,
-    /// kept verbatim as a differential reference.
+    /// The scalar one-draw-per-event loop the block sampler and the
+    /// schedule cursors replaced, kept verbatim as a differential
+    /// reference.
     fn generate_with_floor_scalar(
         schedule: &RateSchedule,
         floor: f64,

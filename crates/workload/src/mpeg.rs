@@ -134,8 +134,12 @@ impl MpegClip {
         let gop_mean: f64 = GOP_MULTIPLIERS.iter().sum::<f64>() / GOP_MULTIPLIERS.len() as f64;
         let arrivals = arrivals::generate(&self.arrival_schedule, rng);
         let mut frames = Vec::with_capacity(arrivals.len());
+        // Arrivals are sorted, so one forward cursor per schedule answers
+        // every frame's rate lookup.
+        let mut service_rates = self.service_schedule.cursor();
+        let mut arrival_rates = self.arrival_schedule.cursor();
         for (i, t) in arrivals.iter().enumerate() {
-            let service_rate = self.service_schedule.rate_at(*t);
+            let service_rate = service_rates.rate(*t);
             let gop = GOP_MULTIPLIERS[i % GOP_MULTIPLIERS.len()] / gop_mean;
             let jitter = 1.0 + FRAME_JITTER * (2.0 * rng.next_f64() - 1.0);
             frames.push(FrameRecord {
@@ -143,7 +147,7 @@ impl MpegClip {
                 kind: MediaKind::MpegVideo,
                 arrival: SimTime::from_secs_f64(*t),
                 work: gop * jitter / service_rate,
-                true_arrival_rate: self.arrival_schedule.rate_at(*t),
+                true_arrival_rate: arrival_rates.rate(*t),
                 true_service_rate: service_rate,
             });
         }

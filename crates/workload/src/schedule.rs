@@ -92,20 +92,26 @@ impl RateSchedule {
     /// The rate in force at `t` seconds from the schedule start. Clamps to
     /// the last segment's rate beyond the end.
     ///
+    /// Scans from the start; a caller whose query times never decrease
+    /// gets the same answers from one [`cursor`](Self::cursor).
+    ///
     /// # Panics
     ///
     /// Panics if `t` is negative or NaN.
     #[must_use]
     pub fn rate_at(&self, t: f64) -> f64 {
-        assert!(t >= 0.0, "schedule time must be non-negative");
-        let mut elapsed = 0.0;
-        for s in &self.segments {
-            elapsed += s.duration;
-            if t < elapsed {
-                return s.rate;
-            }
+        self.cursor().rate(t)
+    }
+
+    /// A forward-only reader of this schedule, positioned at its start.
+    #[must_use]
+    pub fn cursor(&self) -> RateCursor<'_> {
+        RateCursor {
+            segments: &self.segments,
+            index: 0,
+            end: self.segments[0].duration,
+            last: 0.0,
         }
-        self.segments.last().expect("validated non-empty").rate
     }
 
     /// The instants (seconds from schedule start) at which the rate
@@ -146,6 +152,65 @@ impl RateSchedule {
     pub fn then(mut self, other: &RateSchedule) -> RateSchedule {
         self.segments.extend_from_slice(&other.segments);
         self
+    }
+}
+
+/// A forward-only reader of a [`RateSchedule`] for query times that
+/// never decrease, such as a generator walking its own clock.
+///
+/// It keeps its place and the running end of the current segment, the
+/// same left-to-right partial sum a scan from the start builds, so each
+/// answer is bit-identical to [`RateSchedule::rate_at`] while a walk
+/// over `n` queries and `s` segments costs `O(n + s)` instead of
+/// `O(n · s)`.
+#[derive(Debug, Clone)]
+pub struct RateCursor<'a> {
+    segments: &'a [Segment],
+    /// The segment in force at the last query.
+    index: usize,
+    /// `segments[..=index]`'s durations summed left to right.
+    end: f64,
+    last: f64,
+}
+
+impl RateCursor<'_> {
+    /// Moves to the segment in force at `t`: the first whose end lies
+    /// beyond `t`, or the last one.
+    fn seek(&mut self, t: f64) {
+        assert!(t >= 0.0, "schedule time must be non-negative");
+        assert!(
+            t >= self.last,
+            "cursor queries must not go backwards: {t} < {last}",
+            last = self.last
+        );
+        self.last = t;
+        while t >= self.end && self.index + 1 < self.segments.len() {
+            self.index += 1;
+            self.end += self.segments[self.index].duration;
+        }
+    }
+
+    /// The rate in force at `t`, as [`RateSchedule::rate_at`] gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is negative or NaN, or earlier than the previous
+    /// query.
+    pub fn rate(&mut self, t: f64) -> f64 {
+        self.seek(t);
+        self.segments[self.index].rate
+    }
+
+    /// The end (seconds from schedule start) of the segment in force at
+    /// `t`; the schedule's end from the last segment on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is negative or NaN, or earlier than the previous
+    /// query.
+    pub fn segment_end(&mut self, t: f64) -> f64 {
+        self.seek(t);
+        self.end
     }
 }
 
@@ -212,5 +277,14 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_time_panics() {
         let _ = step().rate_at(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not go backwards")]
+    fn cursor_rejects_a_query_earlier_than_the_last() {
+        let s = step();
+        let mut cursor = s.cursor();
+        assert_eq!(cursor.rate(12.0), 60.0);
+        let _ = cursor.segment_end(11.0);
     }
 }

@@ -7,6 +7,32 @@ use workload::schedule::RateSchedule;
 use workload::session::{ClipChoice, Session, SessionEntry};
 use workload::{mp3, MediaKind, Mp3Clip, MpegClip, Trace};
 
+/// `RateSchedule::rate_at`'s from-the-start segment walk, as it stood
+/// before the schedule cursor took over.
+fn scan_rate(schedule: &RateSchedule, t: f64) -> f64 {
+    let mut elapsed = 0.0;
+    for s in schedule.segments() {
+        elapsed += s.duration;
+        if t < elapsed {
+            return s.rate;
+        }
+    }
+    schedule.segments().last().expect("non-empty").rate
+}
+
+/// The arrival generator's from-the-start boundary walk
+/// (`next_boundary`), which the schedule cursor replaced.
+fn scan_boundary(schedule: &RateSchedule, t: f64) -> f64 {
+    let mut elapsed = 0.0;
+    for s in schedule.segments() {
+        elapsed += s.duration;
+        if t < elapsed {
+            return elapsed;
+        }
+    }
+    elapsed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -106,6 +132,38 @@ proptest! {
             .sum();
         let expected = clips + gap_secs.iter().sum::<f64>();
         prop_assert!((trace.duration_secs() - expected).abs() < 1e-6);
+    }
+
+    /// A forward cursor answers sorted queries bit for bit like the
+    /// from-the-start scans, on every exact segment end, one ulp below
+    /// it, and past the schedule's end.
+    #[test]
+    fn schedule_cursor_matches_the_from_the_start_scans(
+        segs in prop::collection::vec((1e-6f64..50.0, 0.5f64..200.0), 1..41),
+        fracs in prop::collection::vec(0.0f64..1.2, 0..60),
+    ) {
+        let schedule = RateSchedule::new(segs).expect("valid segments");
+        let total = schedule.total_duration();
+        let mut times: Vec<f64> = fracs.iter().map(|f| f * total).collect();
+        let mut end = 0.0;
+        for s in schedule.segments() {
+            end += s.duration;
+            times.extend([end, f64::from_bits(end.to_bits() - 1)]);
+        }
+        times.extend([0.0, 2.0 * total]);
+        times.sort_by(f64::total_cmp);
+        let mut cursor = schedule.cursor();
+        for t in times {
+            let rate = cursor.rate(t);
+            prop_assert_eq!(rate.to_bits(), scan_rate(&schedule, t).to_bits(), "t = {}", t);
+            prop_assert_eq!(rate.to_bits(), schedule.rate_at(t).to_bits(), "t = {}", t);
+            prop_assert_eq!(
+                cursor.segment_end(t).to_bits(),
+                scan_boundary(&schedule, t).to_bits(),
+                "t = {}",
+                t
+            );
+        }
     }
 
     /// Schedule rate lookups always return one of the segment rates, and
