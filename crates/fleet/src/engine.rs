@@ -385,7 +385,7 @@ fn run_attempt(
                 AttemptError::Fatal(FleetError::Io(format!("{what} {}: {e}", p.display())))
             };
             let file = fs::File::create(&tmp).map_err(|e| io_err("cannot create", &tmp, e))?;
-            let mut sink = JsonlSink::new(BufWriter::new(file));
+            let mut sink = JsonlSink::new(file);
             let report = a
                 .workload
                 .run(
@@ -407,10 +407,7 @@ fn run_attempt(
             // Sync before promoting: a rename can hit disk before the
             // file contents, so an unsynced promote could survive a
             // crash as a valid-looking truncated trace.
-            let file = sink
-                .into_inner()
-                .into_inner()
-                .map_err(|e| io_err("cannot flush", &tmp, e.into_error()))?;
+            let file = sink.into_inner();
             file.sync_all()
                 .map_err(|e| io_err("cannot sync", &tmp, e))?;
             trace::durable::promote(&tmp, &path).map_err(|e| io_err("cannot rename", &tmp, e))?;

@@ -8,9 +8,12 @@
 //! [`impl_to_json!`](crate::impl_to_json) helper macro for flat structs.
 //!
 //! Numbers distinguish integers from floats so integer counters
-//! round-trip exactly; floats are printed with Rust's shortest
-//! round-trip formatting, which keeps reports byte-identical across runs
-//! of the same seed.
+//! round-trip exactly. [`write_i64`] and [`write_f64`] are the one
+//! definition of number spelling: the value writers here, the trace
+//! encoder and every report go through them. Floats are spelled exactly
+//! as std's `{}` spells them (the shortest digits that round-trip),
+//! computed in-house without `core::fmt`, which keeps reports
+//! byte-identical across runs of the same seed.
 //!
 //! # Example
 //!
@@ -25,6 +28,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+mod shortest;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,35 +168,35 @@ impl Json {
     /// Compact single-line serialization.
     #[must_use]
     pub fn dump(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, None, 0);
-        out
+        String::from_utf8(out).expect("JSON text is UTF-8")
     }
 
     /// Pretty-printed serialization with two-space indentation.
     #[must_use]
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, Some(2), 0);
-        out
+        String::from_utf8(out).expect("JSON text is UTF-8")
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
             Json::Int(i) => write_i64(out, *i),
             Json::Num(x) => write_f64(out, *x),
             Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => write_seq(out, indent, depth, items.len(), '[', ']', |out, i| {
+            Json::Arr(items) => write_seq(out, indent, depth, items.len(), b'[', b']', |out, i| {
                 items[i].write(out, indent, depth + 1);
             }),
-            Json::Obj(pairs) => write_seq(out, indent, depth, pairs.len(), '{', '}', |out, i| {
+            Json::Obj(pairs) => write_seq(out, indent, depth, pairs.len(), b'{', b'}', |out, i| {
                 write_string(out, &pairs[i].0);
-                out.push(':');
+                out.push(b':');
                 if indent.is_some() {
-                    out.push(' ');
+                    out.push(b' ');
                 }
                 pairs[i].1.write(out, indent, depth + 1);
             }),
@@ -200,13 +205,13 @@ impl Json {
 }
 
 fn write_seq(
-    out: &mut String,
+    out: &mut Vec<u8>,
     indent: Option<usize>,
     depth: usize,
     len: usize,
-    open: char,
-    close: char,
-    mut item: impl FnMut(&mut String, usize),
+    open: u8,
+    close: u8,
+    mut item: impl FnMut(&mut Vec<u8>, usize),
 ) {
     out.push(open);
     if len == 0 {
@@ -215,79 +220,135 @@ fn write_seq(
     }
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
+            out.push(b'\n');
+            out.resize(out.len() + step * (depth + 1), b' ');
         }
         item(out, i);
     }
     if let Some(step) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', step * depth));
+        out.push(b'\n');
+        out.resize(out.len() + step * depth, b' ');
     }
     out.push(close);
 }
 
+/// `DIGIT_PAIRS[2 * n..2 * n + 2]` spells `n` for every `n` in `0..100`.
+static DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
+
+/// Spells `n` in decimal, two digits at a time, right-aligned in
+/// `buf`; returns the index of the first digit.
+fn decimal_digits(mut n: u64, buf: &mut [u8; 20]) -> usize {
+    let mut pos = buf.len();
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = 2 * n as usize;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        pos -= 1;
+        buf[pos] = b'0' + n as u8;
+    }
+    pos
+}
+
 /// Appends the JSON spelling of an integer: its decimal digits, with a
 /// leading `-` when negative. Allocation-free beyond growing `out`.
-pub fn write_i64(out: &mut String, i: i64) {
-    let mut digits = [0u8; 20];
-    let mut pos = digits.len();
-    let mut n = i.unsigned_abs();
-    loop {
-        pos -= 1;
-        digits[pos] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
+pub fn write_i64(out: &mut Vec<u8>, i: i64) {
     if i < 0 {
-        out.push('-');
+        out.push(b'-');
     }
-    out.push_str(std::str::from_utf8(&digits[pos..]).expect("ASCII digits"));
+    let mut buf = [0; 20];
+    let start = decimal_digits(i.unsigned_abs(), &mut buf);
+    out.extend_from_slice(&buf[start..]);
 }
 
-/// Appends the JSON spelling of a float: Rust's shortest round-trip
-/// `Display` form, followed by `.0` when that form reads as an integer,
-/// or `null` for NaN and infinities. Allocation-free beyond growing
-/// `out`.
-pub fn write_f64(out: &mut String, x: f64) {
-    use std::fmt::Write as _;
-    if x.is_finite() {
-        let start = out.len();
-        write!(out, "{x}").expect("writing to a String cannot fail");
-        // Keep floats recognizable as floats on re-parse.
-        if !out.as_bytes()[start..]
-            .iter()
-            .any(|&b| matches!(b, b'.' | b'e' | b'E'))
-        {
-            out.push_str(".0");
-        }
-    } else {
+/// Appends the JSON spelling of a float: exactly what std's `{}`
+/// writes (the shortest digits that read back as `x`, nearest `x`, an
+/// exact midpoint rounded up, in positional notation), followed by
+/// `.0` when that has no `.`. Negative zero is `-0.0`; NaN and
+/// infinities are `null`. Allocation-free beyond growing `out`.
+pub fn write_f64(out: &mut Vec<u8>, x: f64) {
+    if !x.is_finite() {
         // JSON has no NaN/Infinity; follow serde_json's lossy convention.
-        out.push_str("null");
+        out.extend_from_slice(b"null");
+        return;
+    }
+    if x.is_sign_negative() {
+        out.push(b'-');
+    }
+    if x == 0.0 {
+        out.extend_from_slice(b"0.0");
+        return;
+    }
+    let (mantissa, exponent) = shortest::shortest(x.abs().to_bits());
+    let mut buf = [0; 20];
+    let start = decimal_digits(mantissa, &mut buf);
+    let digits = &buf[start..];
+    // Digits before the decimal point; `<= 0` puts zeros after it.
+    let point = digits.len() as i32 + exponent;
+    if point <= 0 {
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + point.unsigned_abs() as usize, b'0');
+        out.extend_from_slice(digits);
+    } else if (point as usize) < digits.len() {
+        let (whole, fraction) = digits.split_at(point as usize);
+        out.extend_from_slice(whole);
+        out.push(b'.');
+        out.extend_from_slice(fraction);
+    } else {
+        // An integer: keep it recognizable as a float on re-parse.
+        out.extend_from_slice(digits);
+        out.resize(out.len() + point as usize - digits.len(), b'0');
+        out.extend_from_slice(b".0");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Appends `s` as a JSON string, copying each run of bytes that needs
+/// no escape in one step.
+fn write_string(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let mut control;
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                control = *b"\\u0000";
+                control[4] = HEX[usize::from(b >> 4)];
+                control[5] = HEX[usize::from(b & 15)];
+                &control
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escape);
+        run = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -381,13 +442,24 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next `"` or `\` in one step. The input
+        // came from a `&str` and both delimiters are ASCII, so the run is
+        // whole characters and each byte is validated once.
+        let end = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |n| *pos + n);
+        let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| err("invalid utf-8", *pos))?;
+        out.push_str(run);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err(err("unterminated string", *pos)),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -412,14 +484,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(err("invalid escape", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a valid &str).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err("invalid utf-8", *pos))?;
-                let c = rest.chars().next().ok_or_else(|| err("empty char", *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -737,28 +801,66 @@ mod tests {
 
     #[test]
     fn number_writers_match_the_std_spelling() {
-        let mut out = String::new();
-        for i in [0, 7, -1, 10, -10, 1_234_567_890, i64::MAX, i64::MIN] {
+        let mut out = Vec::new();
+        for i in [
+            0,
+            7,
+            -1,
+            10,
+            -10,
+            99,
+            100,
+            1_234_567_890,
+            i64::MAX,
+            i64::MIN,
+        ] {
             out.clear();
             write_i64(&mut out, i);
-            assert_eq!(out, i.to_string());
+            assert_eq!(out, i.to_string().as_bytes());
         }
         for (x, text) in [
             (0.0, "0.0"),
             (-0.0, "-0.0"),
             (2.5, "2.5"),
+            (-0.001, "-0.001"),
             (1e21, "1000000000000000000000.0"),
-            (5e-324, &format!("{}", 5e-324)),
+            (2f64.powi(50) + 0.25, "1125899906842624.3"),
+            (5e-324, &format!("0.{}5", "0".repeat(323))),
             (f64::NEG_INFINITY, "null"),
         ] {
             out.clear();
             write_f64(&mut out, x);
-            assert_eq!(out, text);
+            assert_eq!(out, text.as_bytes());
         }
         out.clear();
         write_i64(&mut out, -3);
         write_f64(&mut out, 1.5);
-        assert_eq!(out, "-31.5", "writers append");
+        assert_eq!(out, b"-31.5", "writers append");
+    }
+
+    #[test]
+    fn large_documents_round_trip_with_every_escape() {
+        let text =
+            "caf\u{e9} \u{4e2d}\u{6587} \u{1f3b5} \"q\" back\\slash\nnew\rret\ttab\u{1}\u{1f}/";
+        let doc = Json::Arr(
+            (0..20_000)
+                .map(|i| {
+                    Json::obj(vec![
+                        (format!("k\u{e9}y{i}"), Json::Str(format!("{text}{i}"))),
+                        ("n".into(), Json::Num(f64::from(i) / 7.0)),
+                    ])
+                })
+                .collect(),
+        );
+        let dumped = doc.dump();
+        assert!(dumped.len() > 1_500_000, "{} bytes", dumped.len());
+        assert_eq!(Json::parse(&dumped).unwrap(), doc);
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        // Escapes the writer never emits still parse.
+        assert_eq!(
+            Json::parse(r#""\/\b\f\u00e9\u4E2D""#).unwrap(),
+            Json::Str("/\u{8}\u{c}\u{e9}\u{4e2d}".into())
+        );
     }
 
     #[test]

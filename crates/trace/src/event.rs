@@ -285,17 +285,17 @@ impl Event {
     /// without building a [`Json`] tree. This is the encoder every
     /// JSONL writer uses; the [`ToJson`] impl stays as the reference the
     /// differential tests compare it against.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"kind\":\"");
-        out.push_str(self.name());
-        out.push_str("\",\"t\":");
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"kind\":\"");
+        out.extend_from_slice(self.name().as_bytes());
+        out.extend_from_slice(b"\",\"t\":");
         json::write_i64(out, self.at().as_nanos() as i64);
         match *self {
             Event::RunStart { .. } | Event::IdleEnter { .. } | Event::RunEnd { .. } => {}
             Event::DecodeStart {
                 freq_tenths_mhz, ..
             } => {
-                out.push_str(",\"freq_tenths_mhz\":");
+                out.extend_from_slice(b",\"freq_tenths_mhz\":");
                 json::write_i64(out, i64::from(freq_tenths_mhz));
             }
             Event::FreqSwitch {
@@ -305,13 +305,13 @@ impl Event {
                 to_mv,
                 ..
             } => {
-                out.push_str(",\"from_tenths_mhz\":");
+                out.extend_from_slice(b",\"from_tenths_mhz\":");
                 json::write_i64(out, i64::from(from_tenths_mhz));
-                out.push_str(",\"to_tenths_mhz\":");
+                out.extend_from_slice(b",\"to_tenths_mhz\":");
                 json::write_i64(out, i64::from(to_tenths_mhz));
-                out.push_str(",\"from_mv\":");
+                out.extend_from_slice(b",\"from_mv\":");
                 json::write_i64(out, i64::from(from_mv));
-                out.push_str(",\"to_mv\":");
+                out.extend_from_slice(b",\"to_mv\":");
                 json::write_i64(out, i64::from(to_mv));
             }
             Event::RateChange {
@@ -321,47 +321,48 @@ impl Event {
                 threshold,
                 ..
             } => {
-                out.push_str(",\"stream\":\"");
-                out.push_str(stream.label());
-                out.push_str("\",\"new_rate\":");
+                out.extend_from_slice(b",\"stream\":\"");
+                out.extend_from_slice(stream.label().as_bytes());
+                out.extend_from_slice(b"\",\"new_rate\":");
                 json::write_f64(out, new_rate);
-                out.push_str(",\"ln_p_max\":");
+                out.extend_from_slice(b",\"ln_p_max\":");
                 write_opt_f64(out, ln_p_max);
-                out.push_str(",\"threshold\":");
+                out.extend_from_slice(b",\"threshold\":");
                 write_opt_f64(out, threshold);
             }
             Event::SleepEnter { state, .. } => {
-                out.push_str(",\"state\":\"");
-                out.push_str(state.label());
-                out.push('"');
+                out.extend_from_slice(b",\"state\":\"");
+                out.extend_from_slice(state.label().as_bytes());
+                out.push(b'"');
             }
             Event::WakeStart { latency, .. } => {
-                out.push_str(",\"latency_ns\":");
+                out.extend_from_slice(b",\"latency_ns\":");
                 json::write_i64(out, latency.as_nanos() as i64);
             }
             Event::BufferDrop { occupancy, .. } => {
-                out.push_str(",\"occupancy\":");
+                out.extend_from_slice(b",\"occupancy\":");
                 json::write_i64(out, i64::from(occupancy));
             }
             Event::Degraded { entered, .. } => {
-                out.push_str(if entered {
-                    ",\"entered\":true"
+                let field: &[u8] = if entered {
+                    b",\"entered\":true"
                 } else {
-                    ",\"entered\":false"
-                });
+                    b",\"entered\":false"
+                };
+                out.extend_from_slice(field);
             }
             Event::FrameDone {
                 delay_s,
                 freq_tenths_mhz,
                 ..
             } => {
-                out.push_str(",\"delay_s\":");
+                out.extend_from_slice(b",\"delay_s\":");
                 json::write_f64(out, delay_s);
-                out.push_str(",\"freq_tenths_mhz\":");
+                out.extend_from_slice(b",\"freq_tenths_mhz\":");
                 json::write_i64(out, i64::from(freq_tenths_mhz));
             }
         }
-        out.push('}');
+        out.push(b'}');
     }
 
     /// Decodes one event from its parsed JSON object.
@@ -463,10 +464,10 @@ fn opt_f64_field(json: &Json, key: &str) -> Option<f64> {
     json.get(key).and_then(Json::as_f64)
 }
 
-fn write_opt_f64(out: &mut String, x: Option<f64>) {
+fn write_opt_f64(out: &mut Vec<u8>, x: Option<f64>) {
     match x {
         Some(x) => json::write_f64(out, x),
-        None => out.push_str("null"),
+        None => out.extend_from_slice(b"null"),
     }
 }
 
@@ -712,13 +713,14 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips_through_json() {
-        let mut line = String::new();
+        let mut line = Vec::new();
         for ev in sample_events() {
             let json = ev.to_json();
             line.clear();
             ev.write_json(&mut line);
+            let line = std::str::from_utf8(&line).expect("event JSON is UTF-8");
             assert_eq!(line, json.dump(), "{}", ev.name());
-            let reparsed = Json::parse(&line).expect("event JSON parses");
+            let reparsed = Json::parse(line).expect("event JSON parses");
             let back = Event::from_json(&reparsed).expect("event decodes");
             assert_eq!(ev, back, "{}", ev.name());
         }

@@ -10,8 +10,10 @@
 //!   recent `capacity` events and counts the rest as dropped. Recording
 //!   into a non-full ring does not allocate.
 //! * [`JsonlSink`] — encodes each event as one JSON line
-//!   ([`Event::write_json`]) into any [`std::io::Write`]. The first
-//!   I/O error is remembered ("sticky") and reported by
+//!   ([`Event::write_json`]) straight into its own 64 KiB buffer and
+//!   hands any [`std::io::Write`] whole chunks, so a bare
+//!   [`std::fs::File`] needs no `BufWriter` in front. The first I/O
+//!   error is remembered ("sticky") and reported by
 //!   [`TraceSink::finish`]; later records are ignored rather than
 //!   panicking mid-simulation.
 //! * [`FilteredSink`] — wraps another sink, forwarding only the event
@@ -110,38 +112,71 @@ impl TraceSink for RingSink {
     }
 }
 
+/// Bytes [`JsonlSink`] buffers before it hands them to its writer.
+const CHUNK: usize = 64 * 1024;
+
+/// Room past [`CHUNK`] for the line that crosses it. The longest event
+/// line, a rate change with three subnormal floats, is about 1.1 KiB.
+const LINE_ROOM: usize = 2 * 1024;
+
 /// A sink writing one JSON object per line to a [`Write`] target.
+///
+/// Events are encoded into one buffer, which goes to the writer in a
+/// single `write_all` each time it reaches 64 KiB: every write but the
+/// last carries 64 KiB plus at most one line, and holds whole lines
+/// only. Call [`TraceSink::finish`] or [`JsonlSink::into_inner`] at the
+/// end: dropping the sink discards what is still buffered.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
     error: Option<String>,
+    /// Events handed to the writer.
     written: u64,
-    /// Reusable serialization buffer: each record clears and refills it
-    /// instead of allocating a fresh `String` per event.
-    line: String,
+    /// Encoded lines not yet handed over.
+    buf: Vec<u8>,
+    /// Events in `buf`.
+    buffered: u64,
 }
 
 impl<W: Write> JsonlSink<W> {
-    /// Wraps `writer`; callers wanting buffering should pass a
-    /// [`std::io::BufWriter`].
+    /// Wraps `writer`. The sink buffers by itself, so pass the bare
+    /// file; a [`std::io::BufWriter`] in front changes nothing, since it
+    /// passes writes of its capacity or more straight through.
     pub fn new(writer: W) -> JsonlSink<W> {
         JsonlSink {
             writer,
             error: None,
             written: 0,
-            line: String::new(),
+            buf: Vec::with_capacity(CHUNK + LINE_ROOM),
+            buffered: 0,
         }
     }
 
-    /// Number of events successfully serialized.
+    /// Number of events handed to the writer successfully; buffered
+    /// events count once their chunk is handed over.
     #[must_use]
     pub fn written(&self) -> u64 {
         self.written
     }
 
-    /// Consumes the sink, returning the underlying writer.
-    pub fn into_inner(self) -> W {
+    /// Consumes the sink, returning the underlying writer after handing
+    /// it any buffered events. A write error at this point is lost;
+    /// call [`TraceSink::finish`] first to see it.
+    pub fn into_inner(mut self) -> W {
+        self.hand_over();
         self.writer
+    }
+
+    /// Writes the buffer out and empties it; the first failure sticks.
+    fn hand_over(&mut self) {
+        if self.error.is_none() && !self.buf.is_empty() {
+            match self.writer.write_all(&self.buf) {
+                Ok(()) => self.written += self.buffered,
+                Err(e) => self.error = Some(format!("trace write failed: {e}")),
+            }
+        }
+        self.buf.clear();
+        self.buffered = 0;
     }
 }
 
@@ -150,17 +185,16 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        self.line.clear();
-        event.write_json(&mut self.line);
-        self.line.push('\n');
-        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
-            self.error = Some(format!("trace write failed: {e}"));
-        } else {
-            self.written += 1;
+        event.write_json(&mut self.buf);
+        self.buf.push(b'\n');
+        self.buffered += 1;
+        if self.buf.len() >= CHUNK {
+            self.hand_over();
         }
     }
 
     fn finish(&mut self) -> Result<(), String> {
+        self.hand_over();
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
@@ -271,6 +305,105 @@ mod tests {
         assert_eq!(sink.written(), 0);
         let err = sink.finish().unwrap_err();
         assert!(err.contains("disk full"), "{err}");
+    }
+
+    /// Events of varied length: frame delays with 1 to 17 significant
+    /// digits.
+    fn varied(n: u64) -> Event {
+        Event::FrameDone {
+            at: SimTime::from_nanos(n * 1_000_003),
+            delay_s: n as f64 / 7.0 / 10f64.powi((n % 17) as i32),
+            freq_tenths_mhz: 591 + (n % 7) as u32,
+        }
+    }
+
+    /// The stream encoded line by line, the sink's specification.
+    fn lines(events: impl Iterator<Item = Event>) -> (Vec<u8>, Vec<usize>) {
+        let (mut out, mut ends) = (Vec::new(), Vec::new());
+        for ev in events {
+            ev.write_json(&mut out);
+            out.push(b'\n');
+            ends.push(out.len());
+        }
+        (out, ends)
+    }
+
+    /// Records the size of every write it accepts; fails every write
+    /// after the first `ok` when `ok` is set.
+    #[derive(Default)]
+    struct ChunkLog {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+        ok: Option<usize>,
+    }
+    impl Write for ChunkLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.ok.is_some_and(|ok| self.writes.len() >= ok) {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.bytes.extend_from_slice(buf);
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_hands_over_whole_64k_chunks_of_the_line_by_line_stream() {
+        let n = 10_000;
+        let (expected, ends) = lines((0..n).map(varied));
+        assert!(expected.len() > 4 * CHUNK, "several chunks");
+        let mut sink = JsonlSink::new(ChunkLog::default());
+        for ev in (0..n).map(varied) {
+            sink.record(&ev);
+        }
+        assert!(sink.finish().is_ok());
+        assert_eq!(sink.written(), n);
+        let log = sink.into_inner();
+        assert!(log.bytes == expected, "same bytes as line-by-line encoding");
+        let (last, full) = log.writes.split_last().unwrap();
+        assert!(full.len() >= 4 && *last < CHUNK);
+        let mut offset = 0;
+        for &w in full {
+            assert!((CHUNK..CHUNK + LINE_ROOM).contains(&w), "{w}-byte write");
+            offset += w;
+            assert!(ends.contains(&offset), "a write ends mid-line");
+        }
+    }
+
+    #[test]
+    fn jsonl_into_inner_without_finish_loses_no_byte() {
+        for n in [0, 1, 999, 3_000] {
+            let mut sink = JsonlSink::new(Vec::new());
+            for ev in (0..n).map(varied) {
+                sink.record(&ev);
+            }
+            assert!(
+                sink.into_inner() == lines((0..n).map(varied)).0,
+                "{n} events"
+            );
+        }
+    }
+
+    #[test]
+    fn jsonl_failure_on_the_second_chunk_is_reported_and_counted() {
+        let n = 3_000;
+        let (_, ends) = lines((0..n).map(varied));
+        let first_chunk = ends.iter().position(|&end| end >= CHUNK).unwrap() + 1;
+        let mut sink = JsonlSink::new(ChunkLog {
+            ok: Some(1),
+            ..ChunkLog::default()
+        });
+        for ev in (0..n).map(varied) {
+            sink.record(&ev);
+        }
+        assert_eq!(sink.written(), first_chunk as u64);
+        let err = sink.finish().unwrap_err();
+        assert!(err.contains("disk full"), "{err}");
+        assert_eq!(sink.written(), first_chunk as u64, "the failed chunk");
+        assert_eq!(sink.into_inner().writes, vec![ends[first_chunk - 1]]);
     }
 
     #[test]

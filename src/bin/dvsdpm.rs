@@ -241,7 +241,7 @@ fn execute(run: &RunArgs) -> Result<SimReport, String> {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
-            let jsonl = JsonlSink::new(std::io::BufWriter::new(file));
+            let jsonl = JsonlSink::new(file);
             Some(match run.trace_filter {
                 Some(keep) => Box::new(FilteredSink::new(jsonl, keep)),
                 None => Box::new(jsonl),

@@ -82,15 +82,15 @@ fn cmd_summary(events: &[Event], out: &mut impl Write) -> io::Result<()> {
 
 /// Writes the kept events as JSONL.
 fn cmd_filter(events: &[Event], keep: KindSet, out: &mut impl Write) -> io::Result<()> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     events
         .iter()
         .filter(|ev| keep.contains(ev.kind()))
         .try_for_each(|ev| {
             line.clear();
             ev.write_json(&mut line);
-            line.push('\n');
-            out.write_all(line.as_bytes())
+            line.push(b'\n');
+            out.write_all(&line)
         })
 }
 

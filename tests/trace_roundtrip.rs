@@ -13,7 +13,8 @@
 //!    of the reference `Event::to_json().dump()` for every variant and
 //!    every value, including the ones no simulator run produces:
 //!    non-finite floats (written as `null`), subnormals, `u32::MAX`,
-//!    and timestamps above `i64::MAX`.
+//!    and timestamps above `i64::MAX`; and every float it writes is
+//!    std's `{}` spelling.
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::scenario::{Attachments, Workload};
@@ -253,21 +254,64 @@ fn build(
     }
 }
 
-/// The encoder must append (not overwrite) exactly the reference bytes.
-fn assert_encodes_like_the_reference(ev: &Event, line: &mut String) {
+/// The encoder must append (not overwrite) exactly the reference bytes,
+/// and spell every float as std's `{}` does. Both sides spell numbers
+/// through `simcore::json::write_f64`, so the reference alone would not
+/// catch a misspelled float; std is the independent oracle.
+fn assert_encodes_like_the_reference(ev: &Event, line: &mut Vec<u8>) {
     line.clear();
-    line.push_str("prefix ");
+    line.extend_from_slice(b"prefix ");
     ev.write_json(line);
-    assert_eq!(
-        line.strip_prefix("prefix "),
-        Some(ev.to_json().dump().as_str()),
-        "{ev:?}"
-    );
+    let encoded = std::str::from_utf8(line)
+        .expect("UTF-8")
+        .strip_prefix("prefix ")
+        .expect("the encoder appends");
+    assert_eq!(encoded, ev.to_json().dump(), "{ev:?}");
+    for (key, x) in float_fields(ev) {
+        let key = format!("\"{key}\":");
+        let start = encoded.find(&key).expect("float field present") + key.len();
+        let value = encoded[start..].split([',', '}']).next().unwrap();
+        assert_eq!(value, std_spelling(x), "{key} of {ev:?}");
+    }
+}
+
+/// The float-valued fields of an event, `None` where the field is null.
+fn float_fields(ev: &Event) -> Vec<(&'static str, Option<f64>)> {
+    match *ev {
+        Event::RateChange {
+            new_rate,
+            ln_p_max,
+            threshold,
+            ..
+        } => vec![
+            ("new_rate", Some(new_rate)),
+            ("ln_p_max", ln_p_max),
+            ("threshold", threshold),
+        ],
+        Event::FrameDone { delay_s, .. } => vec![("delay_s", Some(delay_s))],
+        _ => Vec::new(),
+    }
+}
+
+/// std's `{}`, with `.0` appended when it has no `.`; `null` for a
+/// missing or non-finite value.
+fn std_spelling(x: Option<f64>) -> String {
+    match x {
+        Some(x) if x.is_finite() => {
+            let text = format!("{x}");
+            if text.contains('.') {
+                text
+            } else {
+                text + ".0"
+            }
+        }
+        _ => "null".to_owned(),
+    }
 }
 
 #[test]
 fn encoder_matches_the_reference_on_edge_values() {
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut names = std::collections::BTreeSet::new();
     for variant in 0..11u8 {
         for (i, &x) in EDGE_FLOATS.iter().enumerate() {
@@ -330,7 +374,7 @@ fn encoder_matches_the_reference_on_edge_values() {
     for (ev, wire) in pinned {
         line.clear();
         ev.write_json(&mut line);
-        assert_eq!(line, wire);
+        assert_eq!(line, wire.as_bytes());
     }
 }
 
@@ -378,7 +422,7 @@ proptest! {
     /// Randomized differential: encoder bytes equal reference bytes.
     #[test]
     fn encoder_matches_the_reference_on_random_events(ev in events()) {
-        let mut line = String::new();
+        let mut line = Vec::new();
         assert_encodes_like_the_reference(&ev, &mut line);
     }
 }
@@ -391,7 +435,7 @@ proptest! {
     #[test]
     #[ignore = "heavy: 2M cases, run nightly"]
     fn encoder_matches_the_reference_on_random_events_heavy(ev in events()) {
-        let mut line = String::new();
+        let mut line = Vec::new();
         assert_encodes_like_the_reference(&ev, &mut line);
     }
 }
