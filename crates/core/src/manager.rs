@@ -124,32 +124,13 @@ impl PowerManager {
     ///
     /// `initial_arrival` / `initial_service` seed the governor's rate
     /// estimates (frames/second at maximum frequency for the service
-    /// rate).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any sub-policy rejects its parameters.
-    pub fn build(
-        badge: &SmartBadge,
-        config: &SystemConfig,
-        initial_arrival: f64,
-        initial_service: f64,
-    ) -> Result<Self, PmError> {
-        Self::build_shared(
-            badge,
-            config,
-            initial_arrival,
-            initial_service,
-            &crate::resolve::SharedResources::default(),
-        )
-    }
-
-    /// [`Self::build`] from pre-resolved shared resources: a cohort
-    /// harness resolves the change-point threshold table once (see
+    /// rate). A change-point governor takes its threshold table from
+    /// `shared` when present: a cohort harness resolves it once (see
     /// [`crate::resolve::SharedResources`]) and every manager built
-    /// here performs zero threshold-cache traffic. Behaviorally
-    /// identical to [`Self::build`] when the resources were resolved
-    /// from the same configuration.
+    /// from it performs zero threshold-cache traffic. With
+    /// `SharedResources::default()` the governor resolves the table
+    /// through the process-wide cache itself; the manager behaves
+    /// identically either way.
     ///
     /// # Errors
     ///
@@ -390,6 +371,7 @@ impl std::fmt::Debug for PowerManager {
 mod tests {
     use super::*;
     use crate::config::{DpmKind, GovernorKind};
+    use crate::resolve::SharedResources;
 
     fn manager(kind: GovernorKind) -> PowerManager {
         let badge = SmartBadge::new();
@@ -400,7 +382,8 @@ mod tests {
             },
             ..SystemConfig::default()
         };
-        PowerManager::build(&badge, &config, 25.0, 100.0).unwrap()
+        PowerManager::build_shared(&badge, &config, 25.0, 100.0, &SharedResources::default())
+            .unwrap()
     }
 
     #[test]
@@ -463,7 +446,9 @@ mod tests {
             overload_boost_depth: Some(8),
             ..SystemConfig::default()
         };
-        let mut m = PowerManager::build(&badge, &config, 25.0, 100.0).unwrap();
+        let mut m =
+            PowerManager::build_shared(&badge, &config, 25.0, 100.0, &SharedResources::default())
+                .unwrap();
         // Light load: DVS picks a low point.
         m.on_arrival(MediaKind::Mp3Audio, Some(0.07), 14.0);
         m.on_decode_complete(MediaKind::Mp3Audio, 0.005, 215.0);
@@ -514,7 +499,9 @@ mod tests {
             }),
             ..SystemConfig::default()
         };
-        let mut m = PowerManager::build(&badge, &config, 25.0, 100.0).unwrap();
+        let mut m =
+            PowerManager::build_shared(&badge, &config, 25.0, 100.0, &SharedResources::default())
+                .unwrap();
         // Light load so the DVS picks a low point we can degrade from.
         m.on_arrival(MediaKind::Mp3Audio, Some(0.07), 14.0);
         m.on_decode_complete(MediaKind::Mp3Audio, 0.005, 215.0);
@@ -614,6 +601,13 @@ mod tests {
             }),
             ..SystemConfig::default()
         };
-        assert!(PowerManager::build(&badge, &config, 25.0, 100.0).is_err());
+        assert!(PowerManager::build_shared(
+            &badge,
+            &config,
+            25.0,
+            100.0,
+            &SharedResources::default()
+        )
+        .is_err());
     }
 }

@@ -228,7 +228,7 @@ impl SimReport {
     /// Average system power over the run, milliwatts.
     ///
     /// `duration_secs` and the meter's own `elapsed_secs` are fed from
-    /// the single registry-backed clock, so this agrees with
+    /// the same accounted intervals, so this agrees with
     /// [`EnergyMeter::average_power_mw`] (see [`Self::clock_skew_secs`]).
     #[must_use]
     pub fn average_power_mw(&self) -> f64 {

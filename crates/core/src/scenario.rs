@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn observed_run_matches_plain_run_and_attaches_assertions() {
         let config = cfg(GovernorKind::quick_change_point(), DpmKind::None);
-        let shared = SharedResources::resolve(&config).unwrap();
+        let shared = SharedResources::resolve_governor(&config.governor).unwrap();
         let workload = Workload::parse("mp3:AB").unwrap();
         let plain = workload.run(&config, 7, Attachments::default()).unwrap();
         let cohort = workload

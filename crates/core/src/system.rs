@@ -34,28 +34,10 @@ use simcore::rng::SimRng;
 use simcore::stats::OnlineStats;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use trace::{
-    ns_to_secs, Event as TraceEvent, MetricsRegistry, SleepKind, StreamKind, TraceMode, TraceSink,
-};
+use trace::{ns_to_secs, Event as TraceEvent, SleepKind, StreamKind, TraceMode, TraceSink};
 use workload::{FrameRecord, Trace};
 
-/// Registry counter names. Shared as constants so the report assembly
-/// and the accounting sites can never drift apart on a typo.
-mod keys {
-    pub const FRAMES_COMPLETED: &str = "frames_completed";
-    pub const FREQ_SWITCHES: &str = "freq_switches";
-    pub const SLEEPS: &str = "sleeps";
-    pub const WAKES: &str = "wakes";
-    pub const DEADLINE_MISSES: &str = "deadline_misses";
-    pub const DEADLINES_TOTAL: &str = "deadlines_total";
-    pub const PEAK_QUEUE_DEPTH: &str = "peak_queue_depth";
-    /// Residency per [`TraceMode::index`](trace::TraceMode::index).
-    pub const MODE_NS: &str = "mode_ns";
-    /// Decode residency per frequency in tenths of a MHz.
-    pub const FREQ_NS: &str = "freq_ns";
-}
-
-/// Registry/trace key for an operating point: frequency in tenths of a
+/// Residency/trace key for an operating point: frequency in tenths of a
 /// MHz, matching [`SimReport::freq_secs`] quantization.
 fn freq_key(op: OperatingPoint) -> u32 {
     (op.freq_mhz * 10.0).round() as u32
@@ -109,17 +91,13 @@ enum Mode {
     Waking,
 }
 
-/// Plain-field accumulators for everything the hot event loop counts.
+/// Plain-field accumulators for everything the event loop counts: the
+/// run statistics [`SimReport`] is built from.
 ///
-/// The [`MetricsRegistry`] stays the single source of truth the report
-/// is assembled from, but its string-keyed maps cost a comparison walk
-/// per touch — measurable when every simulated event updates two or
-/// three metrics. The event loop therefore accumulates into these POD
-/// fields ("run to the next decision without bookkeeping overhead") and
-/// [`HotStats::flush`] materializes them into the registry once per
-/// run. Integer-nanosecond sums are associative, so the flushed
-/// registry — and every report derived from it — is bit-identical to
-/// one updated per event.
+/// Residency is integrated in integer nanoseconds, so a trace replay
+/// (which integrates the same spans at mode-boundary granularity)
+/// reconstructs it bit-exactly: integer addition is associative, and
+/// both sides convert the totals once through [`ns_to_secs`].
 #[derive(Debug, Default)]
 struct HotStats {
     /// Residency per [`TraceMode::index`] (5 modes).
@@ -133,8 +111,6 @@ struct HotStats {
     wakes: u64,
     deadlines_total: u64,
     deadline_misses: u64,
-    peak_queue_depth: f64,
-    queue_depth_seen: bool,
 }
 
 impl HotStats {
@@ -147,45 +123,6 @@ impl HotStats {
             }
         }
         self.freq_ns.push((key, ns));
-    }
-
-    #[inline]
-    fn note_queue_depth(&mut self, depth: f64) {
-        if !self.queue_depth_seen || depth > self.peak_queue_depth {
-            self.peak_queue_depth = depth;
-            self.queue_depth_seen = true;
-        }
-    }
-
-    /// Materializes the accumulators into `metrics`. Only touched
-    /// metrics are written, so the registry contents match a per-event
-    /// update history exactly (absent keys stay absent).
-    fn flush(&self, metrics: &mut MetricsRegistry) {
-        for (idx, &ns) in self.mode_ns.iter().enumerate() {
-            if ns > 0 {
-                metrics.add_span_ns(keys::MODE_NS, idx as u32, ns);
-            }
-        }
-        for &(key, ns) in &self.freq_ns {
-            if ns > 0 {
-                metrics.add_span_ns(keys::FREQ_NS, key, ns);
-            }
-        }
-        for (name, n) in [
-            (keys::FRAMES_COMPLETED, self.frames_completed),
-            (keys::FREQ_SWITCHES, self.freq_switches),
-            (keys::SLEEPS, self.sleeps),
-            (keys::WAKES, self.wakes),
-            (keys::DEADLINES_TOTAL, self.deadlines_total),
-            (keys::DEADLINE_MISSES, self.deadline_misses),
-        ] {
-            if n > 0 {
-                metrics.add(name, n);
-            }
-        }
-        if self.queue_depth_seen {
-            metrics.gauge_max(keys::PEAK_QUEUE_DEPTH, self.peak_queue_depth);
-        }
     }
 }
 
@@ -250,12 +187,8 @@ pub struct SystemSimulator<'t> {
 
     meter: EnergyMeter,
     delays: OnlineStats,
-    /// Single source of truth for every run statistic the report needs:
-    /// event counters, peak gauges, and integer-nanosecond residency
-    /// series. [`SimReport`] is assembled from it at the end of `run`.
-    metrics: MetricsRegistry,
-    /// Hot-loop accumulators, flushed into `metrics` once per run (see
-    /// [`HotStats`]).
+    /// Event counters and integer-nanosecond residency; [`SimReport`]
+    /// is built from them at the end of `run`.
     hot: HotStats,
     /// Structured event sink; `None` (the untraced default) keeps the
     /// hot path to a branch on an `Option`.
@@ -341,7 +274,6 @@ impl<'t> SystemSimulator<'t> {
             track_deadlines,
             meter: EnergyMeter::new(),
             delays: OnlineStats::new(),
-            metrics: MetricsRegistry::new(),
             hot: HotStats::default(),
             sink: None,
             monitor: None,
@@ -486,40 +418,34 @@ impl<'t> SystemSimulator<'t> {
             });
         }
 
-        // Materialize the hot-loop accumulators: from here on the
-        // registry once again holds every statistic, exactly as if it
-        // had been updated per event.
-        self.hot.flush(&mut self.metrics);
-
-        // The report's residency maps are the registry's nanosecond
-        // series converted once through `ns_to_secs`: the same totals a
-        // trace replay reconstructs, so the two agree bit for bit.
-        let mode_secs: BTreeMap<ModeKey, f64> = self
-            .metrics
-            .series(keys::MODE_NS)
-            .map(|s| {
-                s.iter()
-                    .filter_map(|(&k, &ns)| {
-                        TraceMode::from_index(k).map(|m| (ModeKey::from_trace(m), ns_to_secs(ns)))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        // The report's residency maps are the nanosecond totals
+        // converted once through `ns_to_secs`: the same totals a trace
+        // replay reconstructs, so the two agree bit for bit. Modes the
+        // run never entered stay absent, as they do in a replay.
+        let mode_secs: BTreeMap<ModeKey, f64> = TraceMode::ALL
+            .into_iter()
+            .zip(self.hot.mode_ns)
+            .filter(|&(_, ns)| ns > 0)
+            .map(|(m, ns)| (ModeKey::from_trace(m), ns_to_secs(ns)))
+            .collect();
         let freq_residency: BTreeMap<u32, f64> = self
-            .metrics
-            .series(keys::FREQ_NS)
-            .map(|s| s.iter().map(|(&k, &ns)| (k, ns_to_secs(ns))).collect())
-            .unwrap_or_default();
-        let duration_secs = self.metrics.elapsed_secs().max(trace_end.as_secs_f64());
+            .hot
+            .freq_ns
+            .iter()
+            .map(|&(key, ns)| (key, ns_to_secs(ns)))
+            .collect();
+        // Every accounted interval lands in exactly one mode bucket, so
+        // their sum is the run's clock.
+        let accounted_secs = ns_to_secs(self.hot.mode_ns.iter().sum());
+        let duration_secs = accounted_secs.max(trace_end.as_secs_f64());
         // One clock, two views: the energy meter integrates the same
-        // intervals (as f64 seconds) the registry integrates in integer
-        // nanoseconds. They may differ by accumulated rounding only.
+        // intervals as f64 seconds. They may differ by accumulated
+        // rounding only.
         debug_assert!(
-            (self.meter.elapsed_secs() - self.metrics.elapsed_secs()).abs()
-                <= 1e-6 * self.metrics.elapsed_secs().max(1.0),
-            "energy-meter clock {} drifted from registry clock {}",
+            (self.meter.elapsed_secs() - accounted_secs).abs() <= 1e-6 * accounted_secs.max(1.0),
+            "energy-meter clock {} drifted from residency clock {}",
             self.meter.elapsed_secs(),
-            self.metrics.elapsed_secs(),
+            accounted_secs,
         );
         let end_now = self.queue.now().max(trace_end);
         let fc = self.injector.counters();
@@ -527,8 +453,8 @@ impl<'t> SystemSimulator<'t> {
         let robustness = RobustnessReport {
             arrivals_dropped: fc.arrivals_dropped,
             frames_dropped: self.buffer.total_dropped(),
-            deadline_misses: self.metrics.counter(keys::DEADLINE_MISSES),
-            deadlines_total: self.metrics.counter(keys::DEADLINES_TOTAL),
+            deadline_misses: self.hot.deadline_misses,
+            deadlines_total: self.hot.deadlines_total,
             decode_overruns: fc.overruns,
             switch_retries: fc.switch_retries,
             switch_failures: fc.switch_failures,
@@ -540,11 +466,11 @@ impl<'t> SystemSimulator<'t> {
             SimReport {
                 energy: self.meter,
                 frame_delays: self.delays,
-                frames_completed: self.metrics.counter(keys::FRAMES_COMPLETED),
-                freq_switches: self.metrics.counter(keys::FREQ_SWITCHES),
+                frames_completed: self.hot.frames_completed,
+                freq_switches: self.hot.freq_switches,
                 rate_changes: self.manager.rate_changes(),
-                sleeps: self.metrics.counter(keys::SLEEPS),
-                wakes: self.metrics.counter(keys::WAKES),
+                sleeps: self.hot.sleeps,
+                wakes: self.hot.wakes,
                 mode_secs,
                 freq_residency,
                 duration_secs,
@@ -587,7 +513,6 @@ impl<'t> SystemSimulator<'t> {
             // replay (which integrates the same spans at mode-boundary
             // granularity) reconstructs the histogram bit-exactly.
             let ns = dt.as_nanos();
-            self.metrics.advance_ns(ns);
             self.hot.mode_ns[self.mode.key().trace_mode().index() as usize] += ns;
             if matches!(self.mode, Mode::Decoding) {
                 self.hot.add_freq_ns(self.physical_freq_key, ns);
@@ -683,7 +608,6 @@ impl<'t> SystemSimulator<'t> {
                 });
             }
         }
-        self.hot.note_queue_depth(self.buffer.len() as f64);
         let was_degraded = TRACED && self.manager.is_degraded();
         self.manager.note_queue_depth(self.buffer.len());
         self.manager.note_occupancy(now, self.buffer.len());
@@ -1332,16 +1256,23 @@ mod tests {
         assert_eq!(summary.sleeps, traced.sleeps);
         assert_eq!(summary.wakes, traced.wakes);
         assert!(traced.sleeps > 0 && traced.freq_switches > 0);
-        let modes = summary.mode_secs();
-        for (&key, &secs) in &traced.mode_secs {
-            let replayed = modes.get(&key.trace_mode()).copied().unwrap_or(0.0);
-            assert_eq!(replayed.to_bits(), secs.to_bits(), "mode {key:?}");
-        }
-        let freqs = summary.freq_secs();
-        for (&key, &secs) in &traced.freq_residency {
-            let replayed = freqs.get(&key).copied().unwrap_or(0.0);
-            assert_eq!(replayed.to_bits(), secs.to_bits(), "freq key {key}");
-        }
+        // Whole maps, compared as bits: a bucket on either side only is
+        // a mismatch too.
+        let replayed_modes: BTreeMap<ModeKey, u64> = summary
+            .mode_secs()
+            .into_iter()
+            .map(|(m, secs)| (ModeKey::from_trace(m), secs.to_bits()))
+            .collect();
+        let report_modes: BTreeMap<ModeKey, u64> = traced
+            .mode_secs
+            .iter()
+            .map(|(&k, secs)| (k, secs.to_bits()))
+            .collect();
+        assert_eq!(replayed_modes, report_modes);
+        let bits = |m: &BTreeMap<u32, f64>| -> BTreeMap<u32, u64> {
+            m.iter().map(|(&k, secs)| (k, secs.to_bits())).collect()
+        };
+        assert_eq!(bits(&summary.freq_secs()), bits(&traced.freq_residency));
         assert_eq!(
             summary.duration_secs().to_bits(),
             traced.duration_secs.to_bits()

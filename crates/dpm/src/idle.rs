@@ -4,13 +4,11 @@
 //! idle-time distributions have heavier-than-exponential tails, which is
 //! precisely why the time elapsed in idle carries information and why the
 //! renewal / TISMDP formulations index their states by it. This module
-//! collects observed idle lengths, fits candidate models, and says which
-//! fits better.
+//! holds the idle-period model the time-indexed policies plan against.
 
 use crate::DpmError;
-use simcore::dist::{fit, Continuous, Exponential, Pareto, Sample};
+use simcore::dist::{Continuous, Exponential, Pareto, Sample};
 use simcore::rng::SimRng;
-use simcore::SimError;
 
 /// The idle-period model of a streaming device: a mixture of **short**
 /// intra-stream gaps (exponential — the lull between one frame's decode
@@ -129,121 +127,10 @@ impl Continuous for IdleMixture {
     }
 }
 
-/// An accumulating record of observed idle-period lengths with model
-/// fitting.
-///
-/// # Example
-///
-/// ```
-/// use dpm::idle::IdleHistory;
-/// use simcore::dist::{Pareto, Sample};
-/// use simcore::rng::SimRng;
-///
-/// # fn main() -> Result<(), simcore::SimError> {
-/// let truth = Pareto::new(1.0, 1.6)?;
-/// let mut rng = SimRng::seed_from(2);
-/// let mut hist = IdleHistory::new();
-/// for _ in 0..5000 {
-///     hist.record(truth.sample(&mut rng));
-/// }
-/// // The heavy tail is visible: Pareto fits better than exponential.
-/// assert!(hist.pareto_fits_better()?);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct IdleHistory {
-    lengths: Vec<f64>,
-}
-
-impl IdleHistory {
-    /// Creates an empty history.
-    #[must_use]
-    pub fn new() -> Self {
-        IdleHistory::default()
-    }
-
-    /// Records one idle-period length in seconds; non-positive or
-    /// non-finite lengths are ignored.
-    pub fn record(&mut self, secs: f64) {
-        if secs.is_finite() && secs > 0.0 {
-            self.lengths.push(secs);
-        }
-    }
-
-    /// The recorded lengths.
-    #[must_use]
-    pub fn lengths(&self) -> &[f64] {
-        &self.lengths
-    }
-
-    /// Number of recorded periods.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lengths.len()
-    }
-
-    /// `true` if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lengths.is_empty()
-    }
-
-    /// Mean idle length, seconds; `0.0` when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.lengths.is_empty() {
-            0.0
-        } else {
-            self.lengths.iter().sum::<f64>() / self.lengths.len() as f64
-        }
-    }
-
-    /// Maximum-likelihood exponential fit.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the history is empty.
-    pub fn fit_exponential(&self) -> Result<Exponential, SimError> {
-        Exponential::fit_mle(&self.lengths)
-    }
-
-    /// Maximum-likelihood Pareto fit.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the history is empty.
-    pub fn fit_pareto(&self) -> Result<Pareto, SimError> {
-        Pareto::fit_mle(&self.lengths)
-    }
-
-    /// `true` when the Pareto model has a lower Kolmogorov–Smirnov
-    /// distance to the empirical distribution than the exponential — the
-    /// paper's "idle tails are not exponential" observation as a test.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the history is empty.
-    pub fn pareto_fits_better(&self) -> Result<bool, SimError> {
-        let exp = self.fit_exponential()?;
-        let par = self.fit_pareto()?;
-        Ok(self.ks_distance(&par) < self.ks_distance(&exp))
-    }
-
-    /// Kolmogorov–Smirnov distance of the history to a candidate model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the history is empty.
-    #[must_use]
-    pub fn ks_distance<D: Continuous>(&self, model: &D) -> f64 {
-        fit::ks_statistic(&self.lengths, model)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::dist::fit;
 
     #[test]
     fn mixture_cdf_blends_components() {
@@ -296,27 +183,23 @@ mod tests {
         assert!(m.variance().is_finite());
     }
 
-    #[test]
-    fn records_and_filters() {
-        let mut h = IdleHistory::new();
-        h.record(1.0);
-        h.record(-1.0);
-        h.record(f64::NAN);
-        h.record(2.0);
-        assert_eq!(h.len(), 2);
-        assert!((h.mean() - 1.5).abs() < 1e-12);
+    /// `true` when the Pareto fit has a lower Kolmogorov–Smirnov
+    /// distance to the observed idle lengths than the exponential fit —
+    /// the paper's "idle tails are not exponential" observation as a
+    /// test.
+    fn pareto_fits_better(lengths: &[f64]) -> bool {
+        let exp = Exponential::fit_mle(lengths).unwrap();
+        let par = Pareto::fit_mle(lengths).unwrap();
+        fit::ks_statistic(lengths, &par) < fit::ks_statistic(lengths, &exp)
     }
 
     #[test]
     fn exponential_data_prefers_exponential() {
         let truth = Exponential::new(0.5).unwrap();
         let mut rng = SimRng::seed_from(1);
-        let mut h = IdleHistory::new();
-        for _ in 0..5000 {
-            h.record(truth.sample(&mut rng));
-        }
-        assert!(!h.pareto_fits_better().unwrap());
-        let fitted = h.fit_exponential().unwrap();
+        let lengths: Vec<f64> = (0..5000).map(|_| truth.sample(&mut rng)).collect();
+        assert!(!pareto_fits_better(&lengths));
+        let fitted = Exponential::fit_mle(&lengths).unwrap();
         assert!((fitted.rate() - 0.5).abs() < 0.05);
     }
 
@@ -324,20 +207,13 @@ mod tests {
     fn pareto_data_prefers_pareto() {
         let truth = Pareto::new(2.0, 1.4).unwrap();
         let mut rng = SimRng::seed_from(2);
-        let mut h = IdleHistory::new();
-        for _ in 0..5000 {
-            h.record(truth.sample(&mut rng));
-        }
-        assert!(h.pareto_fits_better().unwrap());
+        let lengths: Vec<f64> = (0..5000).map(|_| truth.sample(&mut rng)).collect();
+        assert!(pareto_fits_better(&lengths));
     }
 
     #[test]
     fn empty_history_errors() {
-        let h = IdleHistory::new();
-        assert!(h.is_empty());
-        assert!(h.fit_exponential().is_err());
-        assert!(h.fit_pareto().is_err());
-        assert!(h.pareto_fits_better().is_err());
-        assert_eq!(h.mean(), 0.0);
+        assert!(Exponential::fit_mle(&[]).is_err());
+        assert!(Pareto::fit_mle(&[]).is_err());
     }
 }

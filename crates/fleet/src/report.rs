@@ -15,8 +15,6 @@ use std::fmt;
 use simcore::impl_to_json;
 use simcore::json::{Json, ToJson};
 
-use crate::accum::MetricAcc;
-
 /// Distribution of one metric over the fleet: mean, extremes, and the
 /// percentiles the capacity-planning plots need.
 ///
@@ -58,22 +56,6 @@ impl_to_json!(MetricSummary {
     count,
     rank_error,
 });
-
-impl MetricSummary {
-    /// Summarizes `values`, ignoring non-finite entries; `None` when
-    /// nothing finite remains (e.g. a metric no device reports).
-    ///
-    /// The sketch behind the summary is sized to hold every value, so
-    /// this entry point is always exact (`rank_error == 0`).
-    #[must_use]
-    pub fn from_values(values: &[f64]) -> Option<MetricSummary> {
-        let mut acc = MetricAcc::new(values.len().max(2));
-        for &v in values {
-            acc.push(v);
-        }
-        acc.summary()
-    }
-}
 
 /// Per-invariant assertion-violation counts for one monitored device —
 /// the constant-size slice of its `SimReport` assertion verdict that
@@ -418,87 +400,6 @@ impl FleetHealth {
     /// Cap on [`FleetHealth::first_errors`]: enough to diagnose, small
     /// enough that a million-device meltdown stays readable.
     pub const MAX_ERROR_SAMPLES: usize = 5;
-
-    /// Builds health statistics from the ordered outcomes.
-    #[must_use]
-    pub fn build(
-        on_error: &str,
-        policies: usize,
-        max_attempts: u64,
-        outcomes: &[DeviceOutcome],
-    ) -> FleetHealth {
-        let devices = outcomes.len() as u64;
-        let mut completed = 0u64;
-        let mut failed = 0u64;
-        let mut retried = 0u64;
-        let mut recovered = 0u64;
-        let mut quarantined = 0u64;
-        let mut retry_attempts = 0u64;
-        let mut first_errors = Vec::new();
-        for o in outcomes {
-            retry_attempts += o.attempts().saturating_sub(1);
-            if o.attempts() > 1 {
-                retried += 1;
-            }
-            match o {
-                DeviceOutcome::Completed(r) => {
-                    completed += 1;
-                    if r.attempts > 1 {
-                        recovered += 1;
-                    }
-                }
-                DeviceOutcome::Failed(f) => {
-                    failed += 1;
-                    if f.attempts >= max_attempts {
-                        quarantined += 1;
-                    }
-                    if first_errors.len() < Self::MAX_ERROR_SAMPLES {
-                        first_errors.push(FailureSample {
-                            device: f.device,
-                            attempts: f.attempts,
-                            error: f.error.clone(),
-                        });
-                    }
-                }
-            }
-        }
-        let mut cohorts = Vec::new();
-        for slot in 0..policies as u64 {
-            let members = outcomes.iter().filter(|o| o.policy() == slot);
-            let (mut n, mut bad) = (0u64, 0u64);
-            for m in members {
-                n += 1;
-                if matches!(m, DeviceOutcome::Failed(_)) {
-                    bad += 1;
-                }
-            }
-            if n > 0 {
-                cohorts.push(CohortHealth {
-                    policy: slot,
-                    devices: n,
-                    failed: bad,
-                    failure_rate: bad as f64 / n as f64,
-                });
-            }
-        }
-        FleetHealth {
-            on_error: on_error.to_string(),
-            devices,
-            completed,
-            failed,
-            retried,
-            recovered,
-            quarantined,
-            retry_attempts,
-            failure_rate: if devices == 0 {
-                0.0
-            } else {
-                failed as f64 / devices as f64
-            },
-            cohorts,
-            first_errors,
-        }
-    }
 }
 
 /// Aggregate outcome of every device sharing one policy slot — the
@@ -628,41 +529,6 @@ impl ToJson for FleetReport {
 }
 
 impl FleetReport {
-    /// Builds the aggregate report from per-device outcomes.
-    ///
-    /// `policies` is the number of policy slots in the spec; cohorts
-    /// come out in slot order so the report layout matches the spec.
-    /// `on_error` and `max_attempts` describe the failure policy the
-    /// outcomes were produced under (echoed into [`FleetHealth`]).
-    ///
-    /// This is a convenience wrapper that streams the outcomes through
-    /// a [`crate::FleetAccumulator`]; the engine feeds the accumulator
-    /// directly so records never pile up in memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outcomes` is empty (the spec validator rejects
-    /// zero-device fleets before any outcomes exist).
-    #[must_use]
-    pub fn build(
-        name: &str,
-        base_seed: u64,
-        policies: usize,
-        on_error: &str,
-        max_attempts: u64,
-        outcomes: Vec<DeviceOutcome>,
-    ) -> FleetReport {
-        assert!(
-            !outcomes.is_empty(),
-            "a fleet report needs at least one device"
-        );
-        let mut acc = crate::FleetAccumulator::new(policies, max_attempts);
-        for o in outcomes {
-            acc.push(o);
-        }
-        acc.finish(name, base_seed, on_error)
-    }
-
     /// Pretty-printed JSON document, the canonical on-disk form.
     #[must_use]
     pub fn to_json_pretty(&self) -> String {
@@ -807,6 +673,7 @@ impl fmt::Display for FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FleetAccumulator;
 
     fn record(device: u64, policy: u64, energy_kj: f64, detect: Option<f64>) -> DeviceRecord {
         DeviceRecord {
@@ -847,10 +714,24 @@ mod tests {
         DeviceOutcome::Completed(r)
     }
 
+    /// Streams `outcomes` through the engine's accumulator.
+    fn build(
+        name: &str,
+        policies: usize,
+        on_error: &str,
+        max_attempts: u64,
+        outcomes: Vec<DeviceOutcome>,
+    ) -> FleetReport {
+        let mut acc = FleetAccumulator::new(policies, max_attempts);
+        for o in outcomes {
+            acc.push(o);
+        }
+        acc.finish(name, 42, on_error)
+    }
+
     fn build_clean(name: &str, policies: usize, records: Vec<DeviceRecord>) -> FleetReport {
-        FleetReport::build(
+        build(
             name,
-            42,
             policies,
             "fail_fast",
             1,
@@ -923,7 +804,7 @@ mod tests {
             DeviceOutcome::Failed(failure(3, 1, 2)),
             ok(record(4, 1, 4.0, None)),
         ];
-        let report = FleetReport::build("chaos", 42, 2, "retry:2", 3, outcomes);
+        let report = build("chaos", 2, "retry:2", 3, outcomes);
         assert!(report.partial);
         assert_eq!(report.devices, 5);
         assert_eq!(report.records.len(), 3, "failed devices carry no record");
@@ -961,7 +842,7 @@ mod tests {
             DeviceOutcome::Failed(failure(0, 0, 1)),
             DeviceOutcome::Failed(failure(1, 0, 1)),
         ];
-        let report = FleetReport::build("doom", 42, 1, "continue", 1, outcomes);
+        let report = build("doom", 1, "continue", 1, outcomes);
         assert!(report.partial);
         assert_eq!(report.energy_kj, None);
         assert_eq!(report.mean_delay_s, None);
@@ -980,7 +861,7 @@ mod tests {
         let outcomes: Vec<DeviceOutcome> = (0..20)
             .map(|i| DeviceOutcome::Failed(failure(i, 0, 1)))
             .collect();
-        let health = FleetHealth::build("continue", 1, 1, &outcomes);
+        let health = build("meltdown", 1, "continue", 1, outcomes).health;
         assert_eq!(health.first_errors.len(), FleetHealth::MAX_ERROR_SAMPLES);
         assert_eq!(health.first_errors[0].device, 0);
         assert_eq!(health.failed, 20);
@@ -1017,16 +898,5 @@ mod tests {
         let shown = report.to_string();
         assert!(shown.contains("2 monitored, 1 violating"), "{shown}");
         assert!(shown.contains("slo 1/2 violating (3 viol)"), "{shown}");
-    }
-
-    #[test]
-    fn from_values_filters_non_finite_and_handles_empty() {
-        assert_eq!(MetricSummary::from_values(&[]), None);
-        assert_eq!(MetricSummary::from_values(&[f64::NAN, f64::INFINITY]), None);
-        let m = MetricSummary::from_values(&[3.0, f64::NAN, 1.0, 2.0]).expect("finite data");
-        assert_eq!(m.min, 1.0);
-        assert_eq!(m.max, 3.0);
-        assert!((m.mean - 2.0).abs() < 1e-12);
-        assert!((m.p50 - 2.0).abs() < 1e-12);
     }
 }

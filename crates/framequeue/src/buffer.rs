@@ -3,9 +3,9 @@
 //! The SmartBadge buffers arriving frames until the decoder pulls them
 //! (paper Section 2.3: frames "do not have priority", so the queue is a
 //! plain FIFO of frames awaiting service). [`FrameBuffer`] hands each
-//! popped frame back with its queueing delay and counts pushes, pops,
-//! drops and the peak occupancy; the per-frame delay statistics the
-//! experiments report are the simulator's own.
+//! popped frame back with its queueing delay and counts pushes, pops
+//! and drops; the per-frame delay statistics the experiments report are
+//! the simulator's own.
 
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -20,7 +20,7 @@ pub enum DropPolicy {
     DropOldest,
 }
 
-/// A FIFO buffer of frames with push, pop, drop and peak counters.
+/// A FIFO buffer of frames with push, pop and drop counters.
 ///
 /// Generic over the frame payload so any crate can use it without
 /// circular dependencies.
@@ -43,7 +43,6 @@ pub enum DropPolicy {
 pub struct FrameBuffer<T> {
     queue: VecDeque<(SimTime, T)>,
     last_change: SimTime,
-    peak: usize,
     total_pushed: u64,
     total_popped: u64,
     capacity: Option<usize>,
@@ -58,7 +57,6 @@ impl<T> FrameBuffer<T> {
         FrameBuffer {
             queue: VecDeque::new(),
             last_change: SimTime::ZERO,
-            peak: 0,
             total_pushed: 0,
             total_popped: 0,
             capacity: None,
@@ -92,7 +90,6 @@ impl<T> FrameBuffer<T> {
     pub fn push(&mut self, now: SimTime, frame: T) {
         self.advance(now);
         self.queue.push_back((now, frame));
-        self.peak = self.peak.max(self.queue.len());
         self.total_pushed += 1;
     }
 
@@ -173,12 +170,6 @@ impl<T> FrameBuffer<T> {
         self.queue.is_empty()
     }
 
-    /// Largest occupancy seen so far.
-    #[must_use]
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak
-    }
-
     /// Total frames ever pushed.
     #[must_use]
     pub fn total_pushed(&self) -> u64 {
@@ -238,16 +229,6 @@ mod tests {
         b.push(t(10), 1u8);
         let (_, waited) = b.pop(t(25)).unwrap();
         assert_eq!(waited, SimDuration::from_millis(15));
-    }
-
-    #[test]
-    fn occupancy_statistics() {
-        let mut b = FrameBuffer::new();
-        b.push(t(0), 0u8); // 1 frame from 0..10
-        b.push(t(10), 1); // 2 frames from 10..20
-        b.pop(t(20)); // 1 frame from 20..40
-        b.pop(t(40)); // 0 frames afterwards
-        assert_eq!(b.peak_occupancy(), 2);
     }
 
     #[test]

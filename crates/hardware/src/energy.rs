@@ -94,10 +94,10 @@ impl EnergyMeter {
     /// meter can report average power over the full run.
     ///
     /// The simulator drives this from the *same* accounting intervals
-    /// that feed its metrics registry, so the meter's clock is a
-    /// float-accumulated view of that single source of truth (the
-    /// registry keeps integer nanoseconds); the simulator cross-checks
-    /// the two at the end of every run.
+    /// that feed its integer-nanosecond residency counters, so the
+    /// meter's clock is a float-accumulated view of that single source
+    /// of truth; the simulator cross-checks the two at the end of every
+    /// run.
     #[inline]
     pub fn advance_time(&mut self, dt: SimDuration) {
         self.elapsed_secs += dt.as_secs_f64();

@@ -12,7 +12,7 @@
 //!   be forked per subsystem so adding sampling sites does not perturb
 //!   unrelated streams,
 //! * [`stats`] — online statistics (Welford mean/variance, histograms,
-//!   time-weighted averages, quantiles),
+//!   quantiles, batch means),
 //! * [`dist`] — probability distributions (exponential, uniform, Pareto,
 //!   hyper-exponential, deterministic) with sampling, CDF evaluation,
 //!   moments, and maximum-likelihood fitting,

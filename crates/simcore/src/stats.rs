@@ -1,8 +1,8 @@
 //! Online statistics: running moments, histograms, quantiles, and
-//! time-weighted averages.
+//! batch means.
 //!
 //! These accumulators are used throughout the workspace: frame delays,
-//! queue occupancy, energy per component, and the Monte-Carlo calibration
+//! fleet-wide metric distributions, and the Monte-Carlo calibration
 //! histograms of the change-point detector all flow through this module.
 
 /// Running mean/variance/min/max accumulator (Welford's algorithm).
@@ -359,68 +359,6 @@ impl Histogram {
         let finite = self.finite_count();
         assert!(finite > 0, "quantile of an empty histogram");
         ((q * finite as f64).ceil() as u64).max(1)
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal, e.g. queue
-/// occupancy or instantaneous power draw.
-///
-/// Feed it `(value, duration)` segments; it reports the duration-weighted
-/// mean and the total accumulated `value × time` integral.
-///
-/// # Example
-///
-/// ```
-/// use simcore::stats::TimeWeighted;
-/// use simcore::time::SimDuration;
-///
-/// let mut occupancy = TimeWeighted::new();
-/// occupancy.add(2.0, SimDuration::from_secs(3)); // 2 frames for 3 s
-/// occupancy.add(0.0, SimDuration::from_secs(1)); // empty for 1 s
-/// assert!((occupancy.mean() - 1.5).abs() < 1e-12);
-/// assert!((occupancy.integral() - 6.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeWeighted {
-    integral: f64,
-    total_secs: f64,
-}
-
-impl TimeWeighted {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        TimeWeighted::default()
-    }
-
-    /// Accumulates `value` held constant for `dt`.
-    pub fn add(&mut self, value: f64, dt: crate::time::SimDuration) {
-        let secs = dt.as_secs_f64();
-        self.integral += value * secs;
-        self.total_secs += secs;
-    }
-
-    /// The integral `∫ value dt` in value-seconds (e.g. joules if `value`
-    /// is watts).
-    #[must_use]
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-
-    /// Total observed time in seconds.
-    #[must_use]
-    pub fn total_secs(&self) -> f64 {
-        self.total_secs
-    }
-
-    /// Duration-weighted mean; `0.0` if no time has been observed.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.total_secs == 0.0 {
-            0.0
-        } else {
-            self.integral / self.total_secs
-        }
     }
 }
 
@@ -894,7 +832,6 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn online_stats_basic() {
@@ -1037,17 +974,6 @@ mod tests {
         let h = Histogram::new(0.0, 10.0, 5).unwrap();
         assert_eq!(h.bin_lower_edge(0), 0.0);
         assert_eq!(h.bin_lower_edge(4), 8.0);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        assert_eq!(tw.mean(), 0.0);
-        tw.add(10.0, SimDuration::from_secs(1));
-        tw.add(0.0, SimDuration::from_secs(4));
-        assert!((tw.mean() - 2.0).abs() < 1e-12);
-        assert!((tw.integral() - 10.0).abs() < 1e-12);
-        assert!((tw.total_secs() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use simcore::json::{self, Json, ToJson};
 use simcore::time::{SimDuration, SimTime};
 
 /// Operating mode of the simulated system, as carried by mode-boundary
-/// events. Indices double as the metrics-registry series keys.
+/// events. Indices double as the residency bucket keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceMode {
     /// CPU busy decoding a frame.
@@ -39,7 +39,7 @@ impl TraceMode {
         TraceMode::Waking,
     ];
 
-    /// Stable small-integer key (`0..5`) for registry series.
+    /// Stable small-integer key (`0..5`) for residency buckets.
     #[must_use]
     pub fn index(self) -> u32 {
         match self {

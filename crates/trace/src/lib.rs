@@ -1,4 +1,4 @@
-//! Structured event tracing and metrics for the DVS/DPM simulator.
+//! Structured event tracing and trace replay for the DVS/DPM simulator.
 //!
 //! The paper's claims (Simunic et al., DAC 2001) are *time-series*
 //! claims — frequency trajectories tracking arrival-rate changes,
@@ -14,11 +14,10 @@
 //! * [`TraceSink`] — where events go: [`NullSink`] (overhead baseline),
 //!   [`RingSink`] (preallocated, most-recent-N), [`JsonlSink`] (one
 //!   JSON object per line), [`FilteredSink`] (kind mask);
-//! * [`MetricsRegistry`] — named counters/gauges/time-weighted series
-//!   the simulator's report is assembled from, with residency kept in
-//!   integer nanoseconds so trace replay reconstructs it bit-exactly;
-//! * [`replay`] — rebuilds the run aggregates from a parsed event
-//!   stream alone (the `tracecat` CLI's engine).
+//! * [`replay()`] — rebuilds the run aggregates from a parsed event
+//!   stream alone (the `tracecat` CLI's engine), converting integer
+//!   nanosecond residency through the same [`ns_to_secs`] the
+//!   simulator's report uses, so the two agree bit-exactly.
 //!
 //! The crate depends only on `simcore` (the workspace builds offline).
 
@@ -28,7 +27,6 @@ pub mod assert;
 pub mod durable;
 pub mod event;
 pub mod fleet;
-pub mod registry;
 pub mod replay;
 pub mod sink;
 
@@ -38,8 +36,7 @@ pub use assert::{
 };
 pub use event::{Event, EventKind, KindSet, SleepKind, StreamKind, TraceMode};
 pub use fleet::{parse_fleet_jsonl, FleetEvent};
-pub use registry::{ns_to_secs, MetricsRegistry};
-pub use replay::{replay, ReplaySummary};
+pub use replay::{ns_to_secs, replay, ReplaySummary};
 pub use sink::{FilteredSink, JsonlSink, NullSink, RingSink, TraceSink};
 
 use simcore::json::Json;

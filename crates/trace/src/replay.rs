@@ -10,11 +10,22 @@
 //! Welford accumulator in the same order).
 
 use crate::event::{Event, TraceMode};
-use crate::registry::ns_to_secs;
 use simcore::json::{Json, ToJson};
 use simcore::stats::OnlineStats;
 use simcore::time::SimTime;
 use std::collections::BTreeMap;
+
+/// Converts integer nanoseconds to seconds.
+///
+/// This is *the* conversion used by both the simulator's report
+/// assembly and trace replay; sharing it guarantees the two produce
+/// identical `f64` values from identical nanosecond totals. Totals of
+/// any realistic run (≤ ~10⁴ s ≈ 10¹³ ns) are far below 2⁵³, so the
+/// only rounding is the final division.
+#[must_use]
+pub fn ns_to_secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
+}
 
 /// Aggregates reconstructed from a trace by [`replay`].
 #[derive(Debug, Clone, PartialEq)]
@@ -269,6 +280,14 @@ mod tests {
         assert_eq!(s.mode_ns[&TraceMode::Decoding.index()], 100);
         assert_eq!(s.buffer_drops, 1);
         assert_eq!(s.degraded_entries, 1);
+    }
+
+    #[test]
+    fn ns_to_secs_is_exact_for_realistic_magnitudes() {
+        // Totals below 2^53 ns (~104 days) convert without precision loss.
+        let ns = 86_400_000_000_000u64; // one day
+        assert_eq!(ns_to_secs(ns), 86_400.0);
+        assert!(((1u64 << 53) as f64) > 1e16 * 0.9);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Frame records: the unit of work flowing through the system.
 
-use simcore::json::{Json, ToJson};
 use simcore::time::SimTime;
 use std::fmt;
 
@@ -49,18 +48,6 @@ pub struct FrameRecord {
     pub true_service_rate: f64,
 }
 
-impl MediaKind {
-    /// Parses the [`Display`](fmt::Display) form back into a kind.
-    #[must_use]
-    pub fn parse(text: &str) -> Option<MediaKind> {
-        match text {
-            "mp3-audio" => Some(MediaKind::Mp3Audio),
-            "mpeg-video" => Some(MediaKind::MpegVideo),
-            _ => None,
-        }
-    }
-}
-
 impl FrameRecord {
     /// Validates internal consistency: non-negative work and positive
     /// rates. Generator output is checked with this in tests.
@@ -71,55 +58,7 @@ impl FrameRecord {
             && self.true_arrival_rate > 0.0
             && self.true_service_rate > 0.0
     }
-
-    /// Reconstructs a record from the JSON object produced by
-    /// [`ToJson::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or missing field.
-    pub fn from_json(v: &Json) -> Result<FrameRecord, String> {
-        let nanos = |field: &str| {
-            v[field]
-                .as_u64()
-                .ok_or_else(|| format!("frame field `{field}` must be integer nanoseconds"))
-        };
-        let num = |field: &str| {
-            v[field]
-                .as_f64()
-                .ok_or_else(|| format!("frame field `{field}` must be a number"))
-        };
-        let kind = v["kind"]
-            .as_str()
-            .and_then(MediaKind::parse)
-            .ok_or_else(|| "frame field `kind` must be a media-kind string".to_string())?;
-        Ok(FrameRecord {
-            index: v["index"]
-                .as_u64()
-                .ok_or_else(|| "frame field `index` must be a non-negative integer".to_string())?,
-            kind,
-            arrival: SimTime::from_nanos(nanos("arrival")?),
-            work: num("work")?,
-            true_arrival_rate: num("true_arrival_rate")?,
-            true_service_rate: num("true_service_rate")?,
-        })
-    }
 }
-
-impl ToJson for MediaKind {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-simcore::impl_to_json!(FrameRecord {
-    index,
-    kind,
-    arrival,
-    work,
-    true_arrival_rate,
-    true_service_rate,
-});
 
 #[cfg(test)]
 mod tests {
@@ -149,38 +88,5 @@ mod tests {
             ..good
         };
         assert!(!bad.is_valid());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let r = FrameRecord {
-            index: 7,
-            kind: MediaKind::MpegVideo,
-            arrival: SimTime::from_secs_f64(1.5),
-            work: 0.02,
-            true_arrival_rate: 24.0,
-            true_service_rate: 60.0,
-        };
-        let json = r.to_json().dump();
-        let back = FrameRecord::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(r, back);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_fields() {
-        let mut v = FrameRecord {
-            index: 0,
-            kind: MediaKind::Mp3Audio,
-            arrival: SimTime::ZERO,
-            work: 0.01,
-            true_arrival_rate: 10.0,
-            true_service_rate: 100.0,
-        }
-        .to_json();
-        v["kind"] = Json::Str("vorbis".to_string());
-        assert!(FrameRecord::from_json(&v).is_err());
-        v["kind"] = Json::Str("mp3-audio".to_string());
-        v["arrival"] = Json::Str("soon".to_string());
-        assert!(FrameRecord::from_json(&v).is_err());
     }
 }

@@ -16,8 +16,8 @@
 //!   (paper refs [15, 16]) — [`mpeg`],
 //! * sessions interleave clips with long idle gaps, the territory of the
 //!   DPM policy (paper Table 5) — [`session`],
-//! * every generated workload is an explicit, serializable [`trace::Trace`]
-//!   so experiments can be recorded, replayed and diffed.
+//! * every generated workload is an explicit [`trace::Trace`] of plain
+//!   frame records, so experiments can be replayed and compared.
 //!
 //! # Example
 //!

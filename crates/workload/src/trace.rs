@@ -2,13 +2,12 @@
 //!
 //! A [`Trace`] is an explicit list of [`FrameRecord`]s plus an end time.
 //! Every generator in this crate produces a trace; the system simulator
-//! consumes traces. Because traces are plain serializable data they can be
-//! saved, replayed and compared across experiments, standing in for the
-//! packet captures the paper's authors recorded on real hardware.
+//! consumes traces. Because traces are plain data they can be replayed
+//! and compared across experiments, standing in for the packet captures
+//! the paper's authors recorded on real hardware.
 
 use crate::frame::FrameRecord;
 use crate::WorkloadError;
-use simcore::json::{Json, ToJson};
 use simcore::time::{SimDuration, SimTime};
 
 /// An ordered sequence of frames with an explicit end-of-stream time.
@@ -177,58 +176,6 @@ impl Default for Trace {
     }
 }
 
-impl Trace {
-    /// Saves the trace as JSON, the stand-in for the packet captures the
-    /// paper's authors recorded on hardware.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file cannot be written.
-    pub fn save_json<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().dump())
-    }
-
-    /// Reconstructs a trace from the JSON produced by
-    /// [`ToJson::to_json`], without validation (see [`Trace::load_json`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or missing field.
-    pub fn from_json(v: &Json) -> Result<Trace, String> {
-        let frames = v["frames"]
-            .as_array()
-            .ok_or_else(|| "trace field `frames` must be an array".to_string())?
-            .iter()
-            .map(FrameRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let end = v["end"]
-            .as_u64()
-            .ok_or_else(|| "trace field `end` must be integer nanoseconds".to_string())?;
-        Ok(Trace {
-            frames,
-            end: SimTime::from_nanos(end),
-        })
-    }
-
-    /// Loads a trace saved by [`Trace::save_json`], re-validating the
-    /// frame ordering invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the file cannot be read, parsed, or fails
-    /// validation.
-    pub fn load_json<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Trace> {
-        let text = std::fs::read_to_string(path)?;
-        let value = Json::parse(&text).map_err(std::io::Error::other)?;
-        let raw = Trace::from_json(&value).map_err(std::io::Error::other)?;
-        // Re-run the construction-time validation on untrusted input.
-        Trace::new(raw.frames, raw.end)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-}
-
-simcore::impl_to_json!(Trace { frames, end });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,49 +264,5 @@ mod tests {
         assert!(t.frames().is_empty());
         assert_eq!(t.mean_arrival_rate(), 0.0);
         assert_eq!(Trace::default(), t);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let t = Trace::new(vec![frame(0, 1.0)], SimTime::from_secs_f64(2.0)).unwrap();
-        let json = t.to_json().dump();
-        let back = Trace::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("workload-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        let t = Trace::new(
-            vec![frame(0, 0.5), frame(1, 1.25)],
-            SimTime::from_secs_f64(2.0),
-        )
-        .unwrap();
-        t.save_json(&path).unwrap();
-        let back = Trace::load_json(&path).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn load_rejects_corrupt_and_invalid_data() {
-        let dir = std::env::temp_dir().join("workload-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.json");
-        std::fs::write(&path, "not json").unwrap();
-        assert!(Trace::load_json(&path).is_err());
-        // Structurally valid JSON violating the ordering invariant.
-        let bad = dir.join("bad.json");
-        let t = Trace::new(
-            vec![frame(0, 0.5), frame(1, 1.25)],
-            SimTime::from_secs_f64(2.0),
-        )
-        .unwrap();
-        let mut json = t.to_json();
-        json["frames"][0]["arrival"] = SimTime::from_secs_f64(1.9).to_json();
-        std::fs::write(&bad, json.dump()).unwrap();
-        let err = Trace::load_json(&bad).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -16,9 +16,10 @@
 //! * `replay` — integrate the events into run aggregates
 //!   ([`trace::ReplaySummary`]); with `--check`, compare them against a
 //!   `SimReport` JSON written by `dvsdpm run --json` and exit non-zero
-//!   on any mismatch. Counters must match exactly and residency times
-//!   bit-for-bit — the simulator and the replay share the same
-//!   integer-nanosecond accumulation.
+//!   on any mismatch. Counters must match exactly, and both residency
+//!   maps must hold the same buckets with bit-equal times — the
+//!   simulator and the replay share the same integer-nanosecond
+//!   accumulation.
 //! * `assert` — replay the trace through the same
 //!   [`trace::AssertionMonitor`] the simulator attaches online (paper
 //!   defaults, or a `--config` JSON `assertions` block) and print the
@@ -30,7 +31,7 @@
 //! as corrupt, never silently re-sorted.
 
 use simcore::json::{Json, ToJson};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 use trace::{
@@ -164,34 +165,50 @@ fn check_against_report(summary: &ReplaySummary, report: &Json) -> Vec<String> {
             summary.delays.mean()
         ));
     }
-    let modes = summary.mode_secs();
-    if let Some(Json::Obj(entries)) = report.get("mode_secs") {
-        for (label, value) in entries {
-            let reported = value.as_f64();
-            let replayed = modes
-                .iter()
-                .find(|(m, _)| m.label() == label)
-                .map(|(_, &s)| s);
-            if reported != replayed {
-                mismatches.push(format!(
-                    "mode_secs[{label}]: trace {replayed:?}, report {reported:?}"
-                ));
-            }
-        }
-    }
-    let freqs = summary.freq_secs();
-    if let Some(Json::Obj(entries)) = report.get("freq_residency") {
-        for (key, value) in entries {
-            let replayed = key.parse::<u32>().ok().and_then(|k| freqs.get(&k).copied());
-            if value.as_f64() != replayed {
-                mismatches.push(format!(
-                    "freq_residency[{key}]: trace {replayed:?}, report {:?}",
-                    value.as_f64()
-                ));
-            }
-        }
-    }
+    let modes: BTreeMap<String, f64> = summary
+        .mode_secs()
+        .into_iter()
+        .map(|(m, secs)| (m.label().to_owned(), secs))
+        .collect();
+    check_residency(report, "mode_secs", &modes, &mut mismatches);
+    let freqs: BTreeMap<String, f64> = summary
+        .freq_secs()
+        .into_iter()
+        .map(|(k, secs)| (k.to_string(), secs))
+        .collect();
+    check_residency(report, "freq_residency", &freqs, &mut mismatches);
     mismatches
+}
+
+/// Compares the report's residency map `name` with the replayed
+/// buckets in both directions: a missing or non-object map, and a
+/// bucket present on only one side, are mismatches too.
+fn check_residency(
+    report: &Json,
+    name: &str,
+    replayed: &BTreeMap<String, f64>,
+    mismatches: &mut Vec<String>,
+) {
+    let Some(Json::Obj(entries)) = report.get(name) else {
+        mismatches.push(format!("{name}: missing from the report or not an object"));
+        return;
+    };
+    let reported: BTreeMap<&str, Option<f64>> = entries
+        .iter()
+        .map(|(key, value)| (key.as_str(), value.as_f64()))
+        .collect();
+    let keys: BTreeSet<&str> = reported
+        .keys()
+        .copied()
+        .chain(replayed.keys().map(String::as_str))
+        .collect();
+    for key in keys {
+        let traced = replayed.get(key).copied();
+        let got = reported.get(key).copied().flatten();
+        if traced != got {
+            mismatches.push(format!("{name}[{key}]: trace {traced:?}, report {got:?}"));
+        }
+    }
 }
 
 fn write_replay_summary(
@@ -405,12 +422,10 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn check_accepts_a_consistent_report() {
-        let summary = replay(&sample_events());
-        // A minimal SimReport-shaped JSON carrying exactly the replayed
-        // aggregates must produce no mismatches.
-        let report = Json::obj(vec![
+    /// A minimal SimReport-shaped JSON carrying exactly the replayed
+    /// aggregates of `summary`.
+    fn consistent_report(summary: &ReplaySummary) -> Json {
+        Json::obj(vec![
             ("frames_completed".into(), 1u64.to_json()),
             ("freq_switches".into(), 0u64.to_json()),
             ("rate_changes".into(), 0u64.to_json()),
@@ -441,11 +456,50 @@ mod tests {
                         .collect(),
                 ),
             ),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn check_accepts_a_consistent_report() {
+        let summary = replay(&sample_events());
         assert_eq!(
-            check_against_report(&summary, &report),
+            check_against_report(&summary, &consistent_report(&summary)),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn check_flags_missing_residency_maps() {
+        let summary = replay(&sample_events());
+        let Json::Obj(mut fields) = consistent_report(&summary) else {
+            unreachable!()
+        };
+        fields.retain(|(key, _)| key != "mode_secs" && key != "freq_residency");
+        let mismatches = check_against_report(&summary, &Json::Obj(fields));
+        assert_eq!(
+            mismatches,
+            [
+                "mode_secs: missing from the report or not an object",
+                "freq_residency: missing from the report or not an object"
+            ]
+        );
+    }
+
+    #[test]
+    fn check_flags_a_bucket_missing_from_the_report() {
+        let summary = replay(&sample_events());
+        let mut report = consistent_report(&summary);
+        for name in ["mode_secs", "freq_residency"] {
+            let Json::Obj(buckets) = &mut report[name] else {
+                unreachable!()
+            };
+            buckets.remove(0);
+        }
+        let mismatches = check_against_report(&summary, &report);
+        assert_eq!(mismatches.len(), 2, "{mismatches:?}");
+        assert!(mismatches[0].starts_with("mode_secs[decoding]: trace Some("));
+        assert!(mismatches[0].ends_with("report None"));
+        assert!(mismatches[1].starts_with("freq_residency[2212]: trace Some("));
     }
 
     #[test]

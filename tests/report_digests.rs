@@ -6,7 +6,8 @@
 //! runs), plus three runs with a JSONL sink and an assertion monitor
 //! attached. Each row pins the report's FNV-1a digest and byte length
 //! and the number of events the kernel popped; attached rows also pin
-//! the trace stream's digest and length. Tier-1 checks a pairwise
+//! the trace stream's digest and length, and their streams must replay
+//! (`trace::replay`) to their reports. Tier-1 checks a pairwise
 //! covering subset (every pair of levels from two factors appears in at
 //! least one row); the full product is `#[ignore]`d and runs nightly.
 //!
@@ -18,14 +19,15 @@
 //!     cp target/tmp/report_digests.tsv tests/golden/report_digests.tsv
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use faults::FaultPreset;
 use fleet::checkpoint::fnv1a64;
 use fleet::FleetSpec;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
+use powermgr::metrics::ModeKey;
 use powermgr::scenario::{Attachments, Workload};
-use powermgr::{SharedResources, SystemSimulator};
+use powermgr::{SharedResources, SimReport, SystemSimulator};
 use simcore::json::ToJson;
 use simcore::par::{par_map_range, Jobs};
 use trace::{AssertionMonitor, JsonlSink};
@@ -138,9 +140,64 @@ fn assertion_config() -> trace::AssertionConfig {
         .unwrap()
 }
 
+/// Replays a JSONL stream and requires it to reproduce `report`: the
+/// five counters exactly, both residency maps with the same buckets
+/// and bits, the duration and the mean frame delay to the bit.
+fn assert_replays_to(stream: &[u8], report: &SimReport, row: &str) {
+    let text = std::str::from_utf8(stream).expect("JSONL is UTF-8");
+    let summary = trace::replay(&trace::parse_jsonl(text).expect("JSONL parses"));
+    assert_eq!(
+        [
+            summary.frames_completed,
+            summary.freq_switches,
+            summary.rate_changes,
+            summary.sleeps,
+            summary.wakes
+        ],
+        [
+            report.frames_completed,
+            report.freq_switches,
+            report.rate_changes,
+            report.sleeps,
+            report.wakes
+        ],
+        "{row}: frames, switches, rate changes, sleeps, wakes"
+    );
+    let replayed_modes: BTreeMap<ModeKey, u64> = summary
+        .mode_secs()
+        .into_iter()
+        .map(|(m, secs)| (ModeKey::from_trace(m), secs.to_bits()))
+        .collect();
+    let report_modes: BTreeMap<ModeKey, u64> = report
+        .mode_secs
+        .iter()
+        .map(|(&k, secs)| (k, secs.to_bits()))
+        .collect();
+    assert_eq!(replayed_modes, report_modes, "{row}: mode_secs");
+    let bits = |m: &BTreeMap<u32, f64>| -> BTreeMap<u32, u64> {
+        m.iter().map(|(&k, secs)| (k, secs.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&summary.freq_secs()),
+        bits(&report.freq_residency),
+        "{row}: freq_residency"
+    );
+    assert_eq!(
+        summary.duration_secs().to_bits(),
+        report.duration_secs.to_bits(),
+        "{row}: duration_secs"
+    );
+    assert_eq!(
+        summary.delays.mean().to_bits(),
+        report.frame_delays.mean().to_bits(),
+        "{row}: mean frame delay"
+    );
+}
+
 /// A run with a JSONL sink and an assertion monitor attached, through
-/// the workload entry point; the kernel count comes from an identically
-/// attached simulator, which must reproduce both streams.
+/// the workload entry point; its stream must replay to its report. The
+/// kernel count comes from an identically attached simulator, which
+/// must reproduce both streams.
 fn attached_row(c: Cell) -> String {
     let workload = Workload::parse(WORKLOADS[c[0]]).unwrap();
     let config = config(c);
@@ -160,6 +217,7 @@ fn attached_row(c: Cell) -> String {
     );
     let json = report.to_json().dump();
     let stream = sink.into_inner();
+    assert_replays_to(&stream, &report, &key(c, "sink+monitor"));
 
     let trace = workload.build(seed(c)).unwrap();
     let mut sink = JsonlSink::new(Vec::new());

@@ -16,7 +16,10 @@
 //!    and timestamps above `i64::MAX`; and every float it writes is
 //!    std's `{}` spelling.
 
+use std::collections::BTreeMap;
+
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
+use powermgr::metrics::ModeKey;
 use powermgr::scenario::{Attachments, Workload};
 use proptest::prelude::*;
 use simcore::json::ToJson;
@@ -71,22 +74,24 @@ fn traced_jsonl_replays_to_the_exact_report() {
     assert_eq!(summary.wakes, traced.wakes);
     assert!(traced.sleeps > 0 && traced.freq_switches > 0);
 
-    // Residency: bit-equal, both sides built from the same integer
-    // nanosecond totals through the same conversion.
-    let modes = summary.mode_secs();
-    for (&key, &secs) in &traced.mode_secs {
-        let replayed = modes
-            .iter()
-            .find(|(m, _)| m.label() == key.to_string())
-            .map(|(_, &s)| s)
-            .unwrap_or(0.0);
-        assert_eq!(replayed.to_bits(), secs.to_bits(), "mode {key}");
-    }
-    let freqs = summary.freq_secs();
-    for (&key, &secs) in &traced.freq_residency {
-        let replayed = freqs.get(&key).copied().unwrap_or(0.0);
-        assert_eq!(replayed.to_bits(), secs.to_bits(), "freq key {key}");
-    }
+    // Residency: the whole maps bit-equal (same buckets on both sides),
+    // both built from the same integer nanosecond totals through the
+    // same conversion.
+    let replayed_modes: BTreeMap<ModeKey, u64> = summary
+        .mode_secs()
+        .into_iter()
+        .map(|(m, secs)| (ModeKey::from_trace(m), secs.to_bits()))
+        .collect();
+    let report_modes: BTreeMap<ModeKey, u64> = traced
+        .mode_secs
+        .iter()
+        .map(|(&k, secs)| (k, secs.to_bits()))
+        .collect();
+    assert_eq!(replayed_modes, report_modes);
+    let bits = |m: &BTreeMap<u32, f64>| -> BTreeMap<u32, u64> {
+        m.iter().map(|(&k, secs)| (k, secs.to_bits())).collect()
+    };
+    assert_eq!(bits(&summary.freq_secs()), bits(&traced.freq_residency));
     assert_eq!(
         summary.duration_secs().to_bits(),
         traced.duration_secs.to_bits()
