@@ -6,7 +6,6 @@
 //! This bench runs every family on the same mixed session under the same
 //! change-point DVS governor.
 
-use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, SystemConfig};
 use powermgr::scenario::{Attachments, Workload};
 
@@ -37,39 +36,11 @@ fn main() {
     );
     let policies: Vec<(&str, DpmKind)> = vec![
         ("none", DpmKind::None),
-        (
-            "fixed-timeout 1s",
-            DpmKind::FixedTimeout {
-                timeout_s: 1.0,
-                state: SleepState::Standby,
-            },
-        ),
-        (
-            "break-even",
-            DpmKind::BreakEven {
-                state: SleepState::Standby,
-            },
-        ),
-        (
-            "adaptive",
-            DpmKind::Adaptive {
-                state: SleepState::Standby,
-            },
-        ),
-        (
-            "predictive g=0.3",
-            DpmKind::Predictive {
-                state: SleepState::Standby,
-                gain: 0.3,
-            },
-        ),
-        (
-            "renewal (50ms budget)",
-            DpmKind::Renewal {
-                state: SleepState::Standby,
-                delay_budget_s: 0.05,
-            },
-        ),
+        ("fixed-timeout 1s", DpmKind::FixedTimeout { timeout_s: 1.0 }),
+        ("break-even", DpmKind::BreakEven),
+        ("adaptive", DpmKind::Adaptive),
+        ("predictive g=0.3", DpmKind::Predictive),
+        ("renewal (50ms budget)", DpmKind::Renewal),
         ("tismdp η=2", DpmKind::Tismdp { delay_weight: 2.0 }),
         (
             "tismdp η=0 (energy-only)",

@@ -37,7 +37,6 @@ use detect::calibrate::{
 };
 use detect::estimator::RateEstimator;
 use detect::{ChangePointConfig, ChangePointDetector};
-use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::scenario::{self, Attachments};
 use powermgr::{SharedResources, SystemSimulator};
@@ -196,9 +195,7 @@ fn bench_detector(samples: u64, calibration_trials: usize) -> (u64, f64) {
 fn bench_simulator(labels: &str, reps: u32) -> (u64, f64) {
     let config = SystemConfig {
         governor: GovernorKind::change_point(),
-        dpm: DpmKind::BreakEven {
-            state: SleepState::Standby,
-        },
+        dpm: DpmKind::BreakEven,
         ..SystemConfig::default()
     };
     let trace = scenario::Workload::Mp3(labels.into())

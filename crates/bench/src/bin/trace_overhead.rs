@@ -37,9 +37,7 @@ const ROUNDS: usize = 7;
 fn config() -> SystemConfig {
     SystemConfig {
         governor: GovernorKind::Ideal,
-        dpm: DpmKind::BreakEven {
-            state: dpm::policy::SleepState::Standby,
-        },
+        dpm: DpmKind::BreakEven,
         ..SystemConfig::default()
     }
 }

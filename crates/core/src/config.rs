@@ -94,47 +94,45 @@ impl GovernorKind {
 }
 
 /// The DPM policy choice for idle periods.
+///
+/// The timeout-family policies (fixed, break-even, adaptive,
+/// predictive, renewal) target Standby, as in every experiment of the
+/// paper; TISMDP chooses between Standby and Off itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DpmKind {
     /// Never sleep (the "DVS only" / "no PM" rows of Table 5).
     None,
-    /// Fixed timeout into a sleep state.
+    /// Fixed timeout into Standby.
     FixedTimeout {
         /// Timeout in seconds.
         timeout_s: f64,
-        /// Target sleep state.
-        state: SleepState,
     },
     /// The 2-competitive break-even timeout.
-    BreakEven {
-        /// Target sleep state.
-        state: SleepState,
-    },
+    BreakEven,
     /// Adaptive timeout.
-    Adaptive {
-        /// Target sleep state.
-        state: SleepState,
-    },
-    /// Predictive shutdown with the given EMA gain.
-    Predictive {
-        /// Target sleep state.
-        state: SleepState,
-        /// Idle-length EMA gain.
-        gain: f64,
-    },
-    /// Renewal-theory optimal (possibly randomized) timeout.
-    Renewal {
-        /// Target sleep state.
-        state: SleepState,
-        /// Expected wake-delay budget per idle period, seconds.
-        delay_budget_s: f64,
-    },
+    Adaptive,
+    /// Predictive shutdown: sleeps at idle entry when an EMA of past
+    /// idle lengths (gain 0.3) predicts more than the break-even time.
+    Predictive,
+    /// Renewal-theory optimal (possibly randomized) timeout with an
+    /// expected wake-delay budget of 0.05 s per idle period.
+    Renewal,
     /// Time-indexed SMDP policy over both sleep states.
     Tismdp {
         /// Lagrangian weight on wake-up delay (J per second of delay).
         delay_weight: f64,
     },
 }
+
+/// Sleep state the timeout-family policies target.
+const TIMEOUT_TARGET: SleepState = SleepState::Standby;
+
+/// Idle-length EMA gain of [`DpmKind::Predictive`].
+const PREDICTIVE_GAIN: f64 = 0.3;
+
+/// Expected wake-delay budget per idle period of [`DpmKind::Renewal`],
+/// seconds.
+const RENEWAL_DELAY_BUDGET_S: f64 = 0.05;
 
 impl DpmKind {
     /// The label used in experiment tables.
@@ -143,20 +141,17 @@ impl DpmKind {
         match self {
             DpmKind::None => "none",
             DpmKind::FixedTimeout { .. } => "fixed-timeout",
-            DpmKind::BreakEven { .. } => "break-even",
-            DpmKind::Adaptive { .. } => "adaptive-timeout",
-            DpmKind::Predictive { .. } => "predictive",
-            DpmKind::Renewal { .. } => "renewal",
+            DpmKind::BreakEven => "break-even",
+            DpmKind::Adaptive => "adaptive-timeout",
+            DpmKind::Predictive => "predictive",
+            DpmKind::Renewal => "renewal",
             DpmKind::Tismdp { .. } => "tismdp",
         }
     }
 
     /// Parses the command-line / fleet-spec form of a DPM policy name:
     /// `none`, `timeout:<secs>`, `break-even`, `adaptive`, `predictive`,
-    /// `renewal`, or `tismdp`. Parameterized policies use the same
-    /// defaults as the paper's experiments (Standby target state,
-    /// predictive gain 0.3, renewal delay budget 0.05 s, TISMDP delay
-    /// weight 2.0).
+    /// `renewal`, or `tismdp` (delay weight 2.0, the paper's setting).
     ///
     /// # Errors
     ///
@@ -164,28 +159,15 @@ impl DpmKind {
     pub fn parse(s: &str) -> Result<DpmKind, String> {
         match s {
             "none" => Ok(DpmKind::None),
-            "break-even" => Ok(DpmKind::BreakEven {
-                state: SleepState::Standby,
-            }),
-            "adaptive" => Ok(DpmKind::Adaptive {
-                state: SleepState::Standby,
-            }),
-            "predictive" => Ok(DpmKind::Predictive {
-                state: SleepState::Standby,
-                gain: 0.3,
-            }),
-            "renewal" => Ok(DpmKind::Renewal {
-                state: SleepState::Standby,
-                delay_budget_s: 0.05,
-            }),
+            "break-even" => Ok(DpmKind::BreakEven),
+            "adaptive" => Ok(DpmKind::Adaptive),
+            "predictive" => Ok(DpmKind::Predictive),
+            "renewal" => Ok(DpmKind::Renewal),
             "tismdp" => Ok(DpmKind::Tismdp { delay_weight: 2.0 }),
             other => {
                 if let Some(t) = other.strip_prefix("timeout:") {
                     let timeout_s: f64 = t.parse().map_err(|_| format!("invalid timeout `{t}`"))?;
-                    Ok(DpmKind::FixedTimeout {
-                        timeout_s,
-                        state: SleepState::Standby,
-                    })
+                    Ok(DpmKind::FixedTimeout { timeout_s })
                 } else {
                     Err(format!(
                         "unknown dpm `{other}` \
@@ -206,37 +188,36 @@ impl DpmKind {
     pub fn build(
         &self,
         costs: &DpmCosts,
-        idle_model: &IdleMixture,
+        idle: &IdleMixture,
     ) -> Result<Box<dyn DpmPolicy>, PmError> {
         Ok(match self {
             DpmKind::None => Box::new(NoSleep::new()),
-            DpmKind::FixedTimeout { timeout_s, state } => Box::new(FixedTimeout::new(
+            DpmKind::FixedTimeout { timeout_s } => Box::new(FixedTimeout::new(
                 SimDuration::from_secs_f64(*timeout_s),
-                *state,
+                TIMEOUT_TARGET,
             )?),
-            DpmKind::BreakEven { state } => Box::new(FixedTimeout::break_even(costs, *state)?),
-            DpmKind::Adaptive { state } => Box::new(AdaptiveTimeout::new(
+            DpmKind::BreakEven => Box::new(FixedTimeout::break_even(costs, TIMEOUT_TARGET)?),
+            DpmKind::Adaptive => Box::new(AdaptiveTimeout::new(
                 costs,
-                *state,
+                TIMEOUT_TARGET,
                 SimDuration::from_millis(50),
                 SimDuration::from_secs(120),
             )?),
-            DpmKind::Predictive { state, gain } => {
-                Box::new(PredictiveShutdown::new(costs, *state, *gain)?)
-            }
-            DpmKind::Renewal {
-                state,
-                delay_budget_s,
-            } => Box::new(RenewalPolicy::solve(
+            DpmKind::Predictive => Box::new(PredictiveShutdown::new(
                 costs,
-                idle_model,
-                *state,
-                *delay_budget_s,
+                TIMEOUT_TARGET,
+                PREDICTIVE_GAIN,
+            )?),
+            DpmKind::Renewal => Box::new(RenewalPolicy::solve(
+                costs,
+                idle,
+                TIMEOUT_TARGET,
+                RENEWAL_DELAY_BUDGET_S,
                 RenewalConfig::default(),
             )?),
             DpmKind::Tismdp { delay_weight } => Box::new(TismdpPolicy::solve(
                 costs,
-                idle_model,
+                idle,
                 TismdpConfig {
                     delay_weight: *delay_weight,
                     ..TismdpConfig::default()
@@ -332,56 +313,27 @@ impl SupervisorConfig {
     }
 }
 
-/// Full experiment configuration.
+/// Full experiment configuration: the values an experiment varies.
+/// Everything the paper holds fixed (the per-media delay targets, the
+/// idle-period model, the streaming-gap threshold, the deadline factor)
+/// is a constant next to the code that reads it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// DVS detection strategy.
     pub governor: GovernorKind,
     /// DPM policy for idle periods.
     pub dpm: DpmKind,
-    /// Target mean total frame delay for MP3 audio, seconds (≈ 6 extra
-    /// buffered frames at typical audio rates).
-    pub mp3_target_delay_s: f64,
-    /// Target mean total frame delay for MPEG video, seconds (the
-    /// paper's 0.1 s ≈ 2 extra buffered frames).
-    pub mpeg_target_delay_s: f64,
     /// Queue model inverting the delay target into a decode rate.
     pub queue_model: QueueModel,
-    /// Overload control: when `Some(n)`, the power manager observes the
-    /// buffer occupancy (the paper's PM watches "the number of jobs in
-    /// the queue") and forces the maximum operating point whenever `n`
-    /// or more frames are waiting, releasing with hysteresis at `n/2`.
-    /// `None` reproduces the paper's pure rate-driven policy.
-    pub overload_boost_depth: Option<usize>,
-    /// Arrival gaps longer than this are idle periods, not samples of
-    /// the streaming interarrival distribution (the paper excludes idle
-    /// state arrivals from the exponential model).
-    pub streaming_gap_threshold_s: f64,
-    /// Fraction of idle periods that are short intra-stream gaps in the
-    /// model the stochastic DPM policies optimize against.
-    pub idle_short_weight: f64,
-    /// Rate of the short intra-stream idle gaps, 1/seconds.
-    pub idle_short_rate: f64,
-    /// Pareto scale of the long (session-gap) idle component, seconds.
-    pub idle_pareto_scale: f64,
-    /// Pareto shape of the long idle component.
-    pub idle_pareto_shape: f64,
     /// Fault models to inject (`None` = the paper's clean runs).
     pub faults: Option<faults::FaultSpec>,
     /// Graceful-degradation supervisor (`None` = disabled; clean runs
     /// behave exactly as before).
     pub supervisor: Option<SupervisorConfig>,
     /// Frame-buffer capacity in frames (`None` = unbounded, the paper's
-    /// idealization). Arrivals beyond the bound resolve via
-    /// [`drop_policy`](Self::drop_policy) and are counted in the report.
+    /// idealization). A full buffer rejects the arriving frame, and the
+    /// drop is counted in the report.
     pub buffer_capacity: Option<usize>,
-    /// What a full bounded buffer does with an arriving frame.
-    pub drop_policy: framequeue::DropPolicy,
-    /// A completed frame misses its deadline when its total delay
-    /// exceeds `deadline_factor ×` the media kind's target mean delay.
-    /// Deadlines are only tracked when faults or the supervisor are
-    /// enabled, so baseline reports stay byte-identical.
-    pub deadline_factor: f64,
 }
 
 impl Default for SystemConfig {
@@ -389,20 +341,10 @@ impl Default for SystemConfig {
         SystemConfig {
             governor: GovernorKind::change_point(),
             dpm: DpmKind::None,
-            mp3_target_delay_s: 0.2,
-            mpeg_target_delay_s: 0.1,
             queue_model: QueueModel::Mm1,
-            overload_boost_depth: None,
-            streaming_gap_threshold_s: 2.0,
-            idle_short_weight: 0.95,
-            idle_short_rate: 25.0,
-            idle_pareto_scale: 2.0,
-            idle_pareto_shape: 1.5,
             faults: None,
             supervisor: None,
             buffer_capacity: None,
-            drop_policy: framequeue::DropPolicy::DropNewest,
-            deadline_factor: 4.0,
         }
     }
 }
@@ -431,21 +373,6 @@ impl SystemConfig {
             buffer_capacity: faulted.then_some(FAULT_BUFFER_FRAMES),
             ..SystemConfig::default()
         }
-    }
-
-    /// The idle-period distribution used to solve stochastic DPM
-    /// policies: a short-gap/session-gap mixture.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the mixture parameters are invalid.
-    pub fn idle_model(&self) -> Result<IdleMixture, PmError> {
-        Ok(IdleMixture::new(
-            self.idle_short_weight,
-            self.idle_short_rate,
-            self.idle_pareto_scale,
-            self.idle_pareto_shape,
-        )?)
     }
 }
 
@@ -498,24 +425,11 @@ mod tests {
         let idle = IdleMixture::streaming_default().unwrap();
         let kinds = [
             DpmKind::None,
-            DpmKind::FixedTimeout {
-                timeout_s: 1.0,
-                state: SleepState::Standby,
-            },
-            DpmKind::BreakEven {
-                state: SleepState::Standby,
-            },
-            DpmKind::Adaptive {
-                state: SleepState::Standby,
-            },
-            DpmKind::Predictive {
-                state: SleepState::Standby,
-                gain: 0.3,
-            },
-            DpmKind::Renewal {
-                state: SleepState::Standby,
-                delay_budget_s: 0.05,
-            },
+            DpmKind::FixedTimeout { timeout_s: 1.0 },
+            DpmKind::BreakEven,
+            DpmKind::Adaptive,
+            DpmKind::Predictive,
+            DpmKind::Renewal,
             DpmKind::Tismdp { delay_weight: 2.0 },
         ];
         for k in kinds {
@@ -528,15 +442,7 @@ mod tests {
     fn bad_dpm_parameters_error() {
         let costs = DpmCosts::managed_subsystem(&SmartBadge::new());
         let idle = IdleMixture::streaming_default().unwrap();
-        let bad = DpmKind::FixedTimeout {
-            timeout_s: 0.0,
-            state: SleepState::Standby,
-        };
-        assert!(bad.build(&costs, &idle).is_err());
-        let bad = DpmKind::Predictive {
-            state: SleepState::Standby,
-            gain: 2.0,
-        };
+        let bad = DpmKind::FixedTimeout { timeout_s: 0.0 };
         assert!(bad.build(&costs, &idle).is_err());
     }
 
@@ -545,12 +451,9 @@ mod tests {
         let c = SystemConfig::default();
         assert_eq!(c.governor.label(), "change-point");
         assert_eq!(c.dpm.label(), "none");
-        assert!(c.idle_model().is_ok());
-        assert!(c.mp3_target_delay_s > c.mpeg_target_delay_s);
         assert!(c.faults.is_none());
         assert!(c.supervisor.is_none());
         assert!(c.buffer_capacity.is_none());
-        assert!(c.deadline_factor > 1.0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ struct MediaPolicy {
 /// use workload::MediaKind;
 ///
 /// # fn main() -> Result<(), powermgr::PmError> {
-/// let policy = DvsPolicy::smartbadge(0.2, 0.1)?;
+/// let policy = DvsPolicy::smartbadge();
 /// // Slow arrivals and a fast decoder: a low operating point suffices.
 /// let op = policy.select(MediaKind::Mp3Audio, 14.0, 215.0)?;
 /// assert!(op.freq_mhz < 120.0);
@@ -72,33 +72,33 @@ pub struct DvsPolicy {
     queue_model: QueueModel,
 }
 
+/// Target mean total frame delay for MP3 audio, seconds (≈ 6 extra
+/// buffered frames at typical audio rates).
+const MP3_TARGET_DELAY_S: f64 = 0.2;
+
+/// Target mean total frame delay for MPEG video, seconds (the paper's
+/// 0.1 s ≈ 2 extra buffered frames).
+const MPEG_TARGET_DELAY_S: f64 = 0.1;
+
 impl DvsPolicy {
     /// Builds the policy for the SmartBadge: MP3 uses the memory-bound
-    /// SRAM curve, MPEG the near-linear SDRAM curve, with the given
-    /// target mean total frame delays in seconds.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a target delay is non-positive or non-finite.
-    pub fn smartbadge(mp3_delay_s: f64, mpeg_delay_s: f64) -> Result<Self, PmError> {
+    /// SRAM curve with a 0.2 s target mean total frame delay, MPEG the
+    /// near-linear SDRAM curve with the paper's 0.1 s.
+    #[must_use]
+    pub fn smartbadge() -> Self {
         let cpu = CpuModel::sa1100();
-        for (name, v) in [("mp3_delay_s", mp3_delay_s), ("mpeg_delay_s", mpeg_delay_s)] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(PmError::InvalidParameter { name, value: v });
-            }
-        }
-        Ok(DvsPolicy {
+        DvsPolicy {
             mp3: MediaPolicy {
                 curve: PerformanceCurve::mp3_on_sram(&cpu),
-                target_delay_s: mp3_delay_s,
+                target_delay_s: MP3_TARGET_DELAY_S,
             },
             mpeg: MediaPolicy {
                 curve: PerformanceCurve::mpeg_on_sdram(&cpu),
-                target_delay_s: mpeg_delay_s,
+                target_delay_s: MPEG_TARGET_DELAY_S,
             },
             cpu,
             queue_model: QueueModel::Mm1,
-        })
+        }
     }
 
     /// Replaces the queue model used to invert the delay constraint.
@@ -117,12 +117,6 @@ impl DvsPolicy {
         }
         self.queue_model = model;
         Ok(self)
-    }
-
-    /// The queue model in use.
-    #[must_use]
-    pub fn queue_model(&self) -> QueueModel {
-        self.queue_model
     }
 
     /// The CPU model the policy quantizes onto.
@@ -221,7 +215,7 @@ mod tests {
     use super::*;
 
     fn policy() -> DvsPolicy {
-        DvsPolicy::smartbadge(0.2, 0.1).unwrap()
+        DvsPolicy::smartbadge()
     }
 
     #[test]
@@ -291,8 +285,6 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(DvsPolicy::smartbadge(0.0, 0.1).is_err());
-        assert!(DvsPolicy::smartbadge(0.1, f64::NAN).is_err());
         let p = policy();
         assert!(p.select(MediaKind::Mp3Audio, 0.0, 100.0).is_err());
         assert!(p.select(MediaKind::Mp3Audio, 10.0, -1.0).is_err());
@@ -338,6 +330,5 @@ mod tests {
         assert!(policy()
             .with_queue_model(QueueModel::Mg1 { scv: f64::NAN })
             .is_err());
-        assert_eq!(policy().queue_model(), QueueModel::Mm1);
     }
 }

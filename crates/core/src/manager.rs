@@ -11,6 +11,7 @@ use crate::dvs::DvsPolicy;
 use crate::governor::{Governor, RateDetection};
 use crate::PmError;
 use dpm::costs::DpmCosts;
+use dpm::idle::IdleMixture;
 use dpm::policy::{DpmPolicy, IdlePlan, SleepState};
 use hardware::cpu::OperatingPoint;
 use hardware::SmartBadge;
@@ -114,17 +115,22 @@ pub struct PowerManager {
     dpm: Box<dyn DpmPolicy>,
     current_op: OperatingPoint,
     current_kind: MediaKind,
-    boost_depth: Option<usize>,
-    boosted: bool,
     supervisor: Option<Supervisor>,
 }
+
+/// Neutral initial arrival-rate estimate, frames/second: a typical
+/// media rate. The governor's warm-up replaces it with a data-driven
+/// value within 20 frames.
+const INITIAL_ARRIVAL_RATE: f64 = 25.0;
+
+/// Neutral initial service-rate estimate, frames/second at maximum
+/// frequency; the warm-up replaces it the same way.
+const INITIAL_SERVICE_RATE: f64 = 100.0;
 
 impl PowerManager {
     /// Builds the manager from an experiment configuration.
     ///
-    /// `initial_arrival` / `initial_service` seed the governor's rate
-    /// estimates (frames/second at maximum frequency for the service
-    /// rate). A change-point governor takes its threshold table from
+    /// A change-point governor takes its threshold table from
     /// `shared` when present: a cohort harness resolves it once (see
     /// [`crate::resolve::SharedResources`]) and every manager built
     /// from it performs zero threshold-cache traffic. With
@@ -138,20 +144,19 @@ impl PowerManager {
     pub fn build_shared(
         badge: &SmartBadge,
         config: &SystemConfig,
-        initial_arrival: f64,
-        initial_service: f64,
         shared: &crate::resolve::SharedResources,
     ) -> Result<Self, PmError> {
         let governor = Governor::build_with_table(
             &config.governor,
-            initial_arrival,
-            initial_service,
+            INITIAL_ARRIVAL_RATE,
+            INITIAL_SERVICE_RATE,
             shared.threshold_table.as_ref(),
         )?;
-        let dvs = DvsPolicy::smartbadge(config.mp3_target_delay_s, config.mpeg_target_delay_s)?
-            .with_queue_model(config.queue_model)?;
+        let dvs = DvsPolicy::smartbadge().with_queue_model(config.queue_model)?;
         let costs = DpmCosts::managed_subsystem(badge);
-        let dpm = config.dpm.build(&costs, &config.idle_model()?)?;
+        let dpm = config
+            .dpm
+            .build(&costs, &IdleMixture::streaming_default()?)?;
         let supervisor = match &config.supervisor {
             Some(sup) => {
                 sup.validate()?;
@@ -166,8 +171,6 @@ impl PowerManager {
             dpm,
             current_op,
             current_kind: MediaKind::Mp3Audio,
-            boost_depth: config.overload_boost_depth,
-            boosted: false,
             supervisor,
         })
     }
@@ -207,32 +210,6 @@ impl PowerManager {
     #[must_use]
     pub fn last_rate_detection(&self) -> Option<RateDetection> {
         self.governor.last_detection()
-    }
-
-    /// Reports the current buffer occupancy. When overload boost is
-    /// configured and the queue has backed up past the threshold, the
-    /// manager jumps to the maximum operating point regardless of the
-    /// rate estimates, and returns to rate-driven selection (with
-    /// hysteresis at half the threshold) once the backlog drains.
-    ///
-    /// Returns the new operating point if this observation changed it.
-    pub fn note_queue_depth(&mut self, depth: usize) -> Option<OperatingPoint> {
-        let threshold = self.boost_depth?;
-        if !self.boosted && depth >= threshold {
-            self.boosted = true;
-            self.reselect()
-        } else if self.boosted && depth <= threshold / 2 {
-            self.boosted = false;
-            self.reselect()
-        } else {
-            None
-        }
-    }
-
-    /// `true` while the overload boost holds the maximum operating point.
-    #[must_use]
-    pub fn is_boosted(&self) -> bool {
-        self.boosted
     }
 
     /// Reports one completed frame's deadline outcome to the supervisor
@@ -286,7 +263,7 @@ impl PowerManager {
     }
 
     fn reselect(&mut self) -> Option<OperatingPoint> {
-        let new_op = if self.governor.wants_max() || self.boosted || self.is_degraded() {
+        let new_op = if self.governor.wants_max() || self.is_degraded() {
             self.dvs.cpu().max_operating_point()
         } else {
             self.dvs
@@ -377,13 +354,10 @@ mod tests {
         let badge = SmartBadge::new();
         let config = SystemConfig {
             governor: kind,
-            dpm: DpmKind::BreakEven {
-                state: SleepState::Standby,
-            },
+            dpm: DpmKind::BreakEven,
             ..SystemConfig::default()
         };
-        PowerManager::build_shared(&badge, &config, 25.0, 100.0, &SharedResources::default())
-            .unwrap()
+        PowerManager::build_shared(&badge, &config, &SharedResources::default()).unwrap()
     }
 
     #[test]
@@ -438,47 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn overload_boost_engages_and_releases_with_hysteresis() {
-        let badge = SmartBadge::new();
-        let config = SystemConfig {
-            governor: GovernorKind::Ideal,
-            dpm: DpmKind::None,
-            overload_boost_depth: Some(8),
-            ..SystemConfig::default()
-        };
-        let mut m =
-            PowerManager::build_shared(&badge, &config, 25.0, 100.0, &SharedResources::default())
-                .unwrap();
-        // Light load: DVS picks a low point.
-        m.on_arrival(MediaKind::Mp3Audio, Some(0.07), 14.0);
-        m.on_decode_complete(MediaKind::Mp3Audio, 0.005, 215.0);
-        let low = m.operating_point();
-        assert!(low.freq_mhz < 221.2);
-        // Backlog crosses the threshold: boost to max.
-        assert!(m.note_queue_depth(7).is_none());
-        let boosted = m.note_queue_depth(8).expect("boost engages at threshold");
-        assert!((boosted.freq_mhz - 221.2).abs() < 1e-9);
-        assert!(m.is_boosted());
-        // Stays boosted through the hysteresis band…
-        assert!(m.note_queue_depth(5).is_none());
-        assert!(m.is_boosted());
-        // …and rate changes cannot pull it down while boosted.
-        m.on_arrival(MediaKind::Mp3Audio, Some(0.07), 14.0);
-        assert!((m.operating_point().freq_mhz - 221.2).abs() < 1e-9);
-        // Drains to half the threshold: release and re-select low.
-        let released = m.note_queue_depth(4).expect("boost releases");
-        assert!(released.freq_mhz < 221.2);
-        assert!(!m.is_boosted());
-    }
-
-    #[test]
-    fn boost_disabled_by_default() {
-        let mut m = manager(GovernorKind::Ideal);
-        assert!(m.note_queue_depth(1000).is_none());
-        assert!(!m.is_boosted());
-    }
-
-    #[test]
     fn labels_surface_config() {
         let m = manager(GovernorKind::ExpAverage { gain: 0.3 });
         assert_eq!(m.governor_label(), "exp-average");
@@ -500,8 +433,7 @@ mod tests {
             ..SystemConfig::default()
         };
         let mut m =
-            PowerManager::build_shared(&badge, &config, 25.0, 100.0, &SharedResources::default())
-                .unwrap();
+            PowerManager::build_shared(&badge, &config, &SharedResources::default()).unwrap();
         // Light load so the DVS picks a low point we can degrade from.
         m.on_arrival(MediaKind::Mp3Audio, Some(0.07), 14.0);
         m.on_decode_complete(MediaKind::Mp3Audio, 0.005, 215.0);
@@ -569,6 +501,9 @@ mod tests {
         let op = m.note_occupancy(secs(0.2), 16).expect("backlog trigger");
         assert!((op.freq_mhz - 221.2).abs() < 1e-9);
         assert!(m.is_degraded());
+        // A rate change cannot pull it off the maximum while degraded.
+        let moved = m.on_arrival(MediaKind::Mp3Audio, Some(0.007), 150.0);
+        assert!(moved.is_none());
         // Past the dwell but still half-full: stays degraded.
         assert!(m.note_occupancy(secs(5.0), 8).is_none());
         assert!(m.is_degraded());
@@ -601,13 +536,6 @@ mod tests {
             }),
             ..SystemConfig::default()
         };
-        assert!(PowerManager::build_shared(
-            &badge,
-            &config,
-            25.0,
-            100.0,
-            &SharedResources::default()
-        )
-        .is_err());
+        assert!(PowerManager::build_shared(&badge, &config, &SharedResources::default()).is_err());
     }
 }

@@ -189,7 +189,6 @@ pub fn run_trace(
 mod tests {
     use super::*;
     use crate::config::{DpmKind, GovernorKind};
-    use dpm::policy::SleepState;
     use simcore::json::ToJson;
 
     fn cfg(governor: GovernorKind, dpm: DpmKind) -> SystemConfig {
@@ -342,9 +341,7 @@ mod tests {
 
     #[test]
     fn session_with_both_beats_either_alone() {
-        let standby = DpmKind::BreakEven {
-            state: SleepState::Standby,
-        };
+        let standby = DpmKind::BreakEven;
         let neither = run(
             "session",
             &cfg(GovernorKind::MaxPerformance, DpmKind::None),

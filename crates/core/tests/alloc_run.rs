@@ -6,24 +6,40 @@
 //! per-idle-period or per-clip allocation in the kernel shows up here as
 //! a count that grows with the trace.
 //!
-//! This file holds exactly one `#[test]` so no concurrently running test
-//! in the same binary can disturb the process-global counter.
+//! Only allocations made by a thread that opts in are counted, so the
+//! test harness's own threads cannot disturb the count. The file holds
+//! exactly one `#[test]`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::scenario::{self, Attachments};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapper that counts every allocation request.
+/// System allocator wrapper that counts the allocation requests of
+/// threads that set [`COUNTED`].
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. `const`-initialized
+    /// and drop-free, so reading it from inside the allocator never
+    /// allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,12 +48,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -53,11 +69,12 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn full_run_allocations_do_not_scale_with_workload() {
+    COUNTED.with(|c| c.set(true));
     // The max-performance governor keeps the calibration cache out of
     // the picture, so the measured region is the event kernel, the DPM
     // policy's per-idle planning and the fixed construction/report
-    // scaffolding. Every DPM kind runs here, in one test, because the
-    // counter is process-global.
+    // scaffolding. Every DPM kind runs here, in one test, because every
+    // counted thread adds to the same counter.
     // Traces are pre-built: arrival generation is part of workload
     // construction, not of the measured run.
     let short = scenario::Workload::Mp3("A".into())

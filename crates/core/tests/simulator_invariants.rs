@@ -1,8 +1,7 @@
 //! Simulator-level invariant tests: energy bounds, delay accounting,
-//! boost behavior, and stress configurations.
+//! overload behavior, and stress configurations.
 
-use dpm::policy::SleepState;
-use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
+use powermgr::config::{DpmKind, GovernorKind, SupervisorConfig, SystemConfig};
 use powermgr::metrics::ModeKey;
 use powermgr::scenario::{self, Attachments};
 use proptest::prelude::*;
@@ -28,12 +27,7 @@ fn energy_within_physical_bounds() {
             GovernorKind::MaxPerformance,
             DpmKind::Tismdp { delay_weight: 2.0 },
         ),
-        base(
-            GovernorKind::ExpAverage { gain: 0.5 },
-            DpmKind::BreakEven {
-                state: SleepState::Standby,
-            },
-        ),
+        base(GovernorKind::ExpAverage { gain: 0.5 }, DpmKind::BreakEven),
     ];
     for (i, config) in configs.into_iter().enumerate() {
         let report = scenario::Workload::Mp3("AD".into())
@@ -47,14 +41,18 @@ fn energy_within_physical_bounds() {
     }
 }
 
-/// The overload boost bounds the worst-case frame delay when the
-/// governor badly underestimates (EMA on high-variance video).
+/// Boosting to the maximum operating point on a backlog (the
+/// supervisor's occupancy trigger) bounds the worst-case frame delay
+/// when the governor badly underestimates (EMA on high-variance video).
 #[test]
 fn overload_boost_caps_backlog() {
     let seed = 321;
     let no_boost = base(GovernorKind::ExpAverage { gain: 0.5 }, DpmKind::None);
     let boosted = SystemConfig {
-        overload_boost_depth: Some(10),
+        supervisor: Some(SupervisorConfig {
+            occupancy_enter: 10,
+            ..SupervisorConfig::default()
+        }),
         ..no_boost.clone()
     };
     let plain = scenario::Workload::Mpeg("football".into())
@@ -119,9 +117,7 @@ fn empty_trace_is_pure_idle() {
         &trace,
         &base(
             GovernorKind::MaxPerformance,
-            DpmKind::BreakEven {
-                state: SleepState::Off,
-            },
+            DpmKind::Tismdp { delay_weight: 2.0 },
         ),
         1,
         Attachments::default(),
@@ -141,12 +137,7 @@ fn wake_path_costs_latency_and_is_accounted() {
     let a = Mp3Clip::table2()[0].generate(&mut rng);
     let b = Mp3Clip::table2()[5].generate(&mut rng);
     let trace = workload::Trace::sequence(&[a, b], simcore::time::SimDuration::from_secs(30));
-    let config = base(
-        GovernorKind::MaxPerformance,
-        DpmKind::BreakEven {
-            state: SleepState::Standby,
-        },
-    );
+    let config = base(GovernorKind::MaxPerformance, DpmKind::BreakEven);
     let report = scenario::run_trace(&trace, &config, 77, Attachments::default()).expect("runs");
     assert!(report.wakes >= 1, "{report}");
     assert!(report.mode_secs(ModeKey::Waking) > 0.0, "{report}");

@@ -2,25 +2,42 @@
 //! budget: after one warm-up call per thread, `trial_statistic` performs
 //! **zero** heap allocations per trial.
 //!
-//! This file holds exactly one `#[test]` so no concurrently running test
-//! in the same binary can disturb the process-global counter, and the
-//! measured region calls nothing but the trial kernel.
+//! Only allocations made by a thread that opts in are counted, so the
+//! test harness's own threads (libtest's main thread is still allocating
+//! around the spawn when the measured loop starts) cannot disturb the
+//! count. The file holds exactly one `#[test]`, and the measured region
+//! calls nothing but the trial kernel.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use detect::calibrate::{trial_statistic, CalibrationConfig};
 use simcore::rng::SimRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapper that counts every allocation request.
+/// System allocator wrapper that counts the allocation requests of
+/// threads that set [`COUNTED`].
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. `const`-initialized
+    /// and drop-free, so reading it from inside the allocator never
+    /// allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,12 +46,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -44,6 +61,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn calibration_trials_allocate_zero_after_warmup() {
+    COUNTED.with(|c| c.set(true));
     let config = CalibrationConfig::default();
     let root = SimRng::seed_from(0x00A1_10C8);
 

@@ -35,8 +35,8 @@
 //!
 //! # fn main() -> Result<(), dpm::DpmError> {
 //! let costs = DpmCosts::from_smartbadge(&SmartBadge::new());
-//! let idle_model = Pareto::new(2.0, 1.5).map_err(|_| dpm::DpmError::Empty { name: "x" })?;
-//! let mut policy = TismdpPolicy::solve(&costs, &idle_model, TismdpConfig::default())?;
+//! let idle = Pareto::new(2.0, 1.5).map_err(|_| dpm::DpmError::Empty { name: "x" })?;
+//! let mut policy = TismdpPolicy::solve(&costs, &idle, TismdpConfig::default())?;
 //! let plan = policy.plan_idle(&mut SimRng::seed_from(1));
 //! // Heavy-tailed idle times: the policy eventually commands a sleep state.
 //! assert!(!plan.transitions().is_empty());

@@ -13,16 +13,17 @@
 //! On-disk format (`fleet.ckpt` in the checkpoint directory):
 //!
 //! ```text
-//! {"kind":"fleet_checkpoint","version":2,"spec_digest":…,"done":N,"checksum":…}
+//! {"kind":"fleet_checkpoint","version":3,"spec_digest":…,"done":N,"checksum":…}
 //! {"max_attempts":…,"completed":…,…,"records":[…],"records_truncated":…}
 //! ```
 //!
 //! Two properties make resume trustworthy:
 //!
 //! * **Integrity**: the header carries an FNV-1a checksum of the
-//!   payload line and a digest of the spec; a truncated file, a flipped
-//!   bit, or a checkpoint from a different spec is rejected with a
-//!   typed error rather than silently corrupting the report.
+//!   payload line and a digest of the spec's canonical JSON form; a
+//!   truncated file, a flipped bit, or a checkpoint from a different
+//!   spec is rejected with a typed error rather than silently
+//!   corrupting the report.
 //!   `sync_all` before the rename means a post-crash file can only be
 //!   the previous checkpoint or this one — never a valid-looking name
 //!   over unsynced bytes.
@@ -35,18 +36,21 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use simcore::json::Json;
+use detect::changepoint::ChangePointConfig;
+use powermgr::config::{DpmKind, GovernorKind};
+use simcore::json::{Json, ToJson};
 use simcore::stats::{OnlineStats, QuantileSketch};
 
 use crate::accum::{CohortAcc, FleetAccumulator, MetricAcc};
 use crate::report::{DeviceAssertions, DeviceRecord, FailureSample, SloSummary};
-use crate::spec::FleetSpec;
+use crate::spec::{FleetSpec, PolicySpec};
 use crate::FleetError;
 
 /// Format version; bumped on any incompatible layout change.
 /// Version 2 replaced the v1 outcome-prefix payload with serialized
-/// accumulator state (constant-size checkpoints).
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// accumulator state (constant-size checkpoints); version 3 digests the
+/// spec's canonical JSON form instead of its `Debug` output.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// File name of the checkpoint inside its directory.
 pub const CHECKPOINT_FILE: &str = "fleet.ckpt";
@@ -69,13 +73,91 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Digest of the spec a checkpoint belongs to. The `Debug` form covers
-/// every field (seed, axes, failure policy), so any spec edit — even a
+/// Digest of the spec a checkpoint belongs to: FNV-1a over a JSON
+/// document that covers every field (seed, axes, every policy
+/// parameter, failure policy, assertions), so any spec edit — even a
 /// changed `on_error` — invalidates old checkpoints instead of quietly
-/// mixing outcomes from two different fleets.
+/// mixing outcomes from two different fleets. A change to that document
+/// must come with a [`CHECKPOINT_VERSION`] bump.
 #[must_use]
 pub fn spec_digest(spec: &FleetSpec) -> u64 {
-    fnv1a64(format!("{spec:?}").as_bytes())
+    fnv1a64(spec_json(spec).dump().as_bytes())
+}
+
+/// The canonical form [`spec_digest`] hashes, built field by field:
+/// axes in their parse forms, each policy as tagged objects carrying
+/// every parameter.
+fn spec_json(spec: &FleetSpec) -> Json {
+    fn parse_forms<T: ToString>(items: &[T]) -> Json {
+        Json::Arr(items.iter().map(|i| Json::Str(i.to_string())).collect())
+    }
+    Json::obj(vec![
+        ("name".into(), Json::Str(spec.name.clone())),
+        ("devices".into(), spec.devices.to_json()),
+        ("base_seed".into(), spec.base_seed.to_json()),
+        ("workloads".into(), parse_forms(&spec.workloads)),
+        (
+            "policies".into(),
+            Json::Arr(spec.policies.iter().map(policy_json).collect()),
+        ),
+        ("faults".into(), parse_forms(&spec.faults)),
+        ("on_error".into(), Json::Str(spec.on_error.to_string())),
+        (
+            "assertions".into(),
+            spec.assertions.as_ref().map_or(Json::Null, ToJson::to_json),
+        ),
+    ])
+}
+
+/// One policy's governor and DPM as `{"kind": label, parameters…}`
+/// objects. The matches are exhaustive, so a new parameter cannot be
+/// left out of the digest silently.
+fn policy_json(policy: &PolicySpec) -> Json {
+    let tagged = |label: &str, params: Vec<(&str, Json)>| {
+        let mut pairs = vec![("kind".to_owned(), Json::Str(label.to_owned()))];
+        pairs.extend(params.into_iter().map(|(k, v)| (k.to_owned(), v)));
+        Json::obj(pairs)
+    };
+    let governor_params = match &policy.governor {
+        GovernorKind::Ideal | GovernorKind::MaxPerformance => vec![],
+        GovernorKind::ChangePoint(ChangePointConfig {
+            window,
+            check_interval,
+            k_step,
+            ratios,
+            confidence,
+            calibration_trials,
+            calibration_seed,
+        }) => vec![
+            ("window", window.to_json()),
+            ("check_interval", check_interval.to_json()),
+            ("k_step", k_step.to_json()),
+            (
+                "ratios",
+                Json::Arr(ratios.iter().map(ToJson::to_json).collect()),
+            ),
+            ("confidence", confidence.to_json()),
+            ("calibration_trials", calibration_trials.to_json()),
+            ("calibration_seed", calibration_seed.to_json()),
+        ],
+        GovernorKind::ExpAverage { gain } => vec![("gain", gain.to_json())],
+    };
+    let dpm_params = match &policy.dpm {
+        DpmKind::None
+        | DpmKind::BreakEven
+        | DpmKind::Adaptive
+        | DpmKind::Predictive
+        | DpmKind::Renewal => vec![],
+        DpmKind::FixedTimeout { timeout_s } => vec![("timeout_s", timeout_s.to_json())],
+        DpmKind::Tismdp { delay_weight } => vec![("delay_weight", delay_weight.to_json())],
+    };
+    Json::obj(vec![
+        (
+            "governor".into(),
+            tagged(policy.governor.label(), governor_params),
+        ),
+        ("dpm".into(), tagged(policy.dpm.label(), dpm_params)),
+    ])
 }
 
 /// Writes a durable, atomic checkpoint of the accumulator state after
@@ -597,7 +679,6 @@ mod tests {
     use crate::report::{DeviceFailure, DeviceOutcome};
     use crate::spec::OnError;
     use faults::FaultPreset;
-    use powermgr::config::{DpmKind, GovernorKind};
     use powermgr::scenario::Workload;
 
     fn spec() -> FleetSpec {
@@ -606,7 +687,7 @@ mod tests {
             devices: 4,
             base_seed: 9,
             workloads: vec![Workload::Session],
-            policies: vec![crate::PolicySpec {
+            policies: vec![PolicySpec {
                 governor: GovernorKind::MaxPerformance,
                 dpm: DpmKind::None,
             }],
@@ -732,11 +813,15 @@ mod tests {
         let err = load_checkpoint(&dir, &spec).expect_err("checksum mismatch");
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
 
-        // Wrong version (v1 checkpoints are rejected, not misread).
-        fs::write(&path, good.replacen("\"version\":2", "\"version\":1", 1))
+        // Wrong version: a v2 checkpoint (Debug-form spec digest) is
+        // rejected by its version, not misread as a foreign spec.
+        fs::write(&path, good.replacen("\"version\":3", "\"version\":2", 1))
             .expect("write version");
         let err = load_checkpoint(&dir, &spec).expect_err("version mismatch");
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(
+            err.to_string().contains("version 2 is not the supported 3"),
+            "{err}"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,8 +4,17 @@
 
 use std::path::PathBuf;
 
-use fleet::checkpoint::{load_checkpoint, write_checkpoint};
-use fleet::{run_device, run_fleet_opts, FleetAccumulator, FleetError, FleetSpec, RunOptions};
+use std::collections::HashSet;
+
+use detect::changepoint::ChangePointConfig;
+use faults::FaultPreset;
+use fleet::checkpoint::{load_checkpoint, spec_digest, write_checkpoint, CHECKPOINT_VERSION};
+use fleet::{
+    run_device, run_fleet_opts, FleetAccumulator, FleetError, FleetSpec, OnError, PolicySpec,
+    RunOptions,
+};
+use powermgr::config::{DpmKind, GovernorKind};
+use powermgr::scenario::Workload;
 use simcore::json::ToJson;
 use simcore::par::Jobs;
 
@@ -152,4 +161,84 @@ fn checkpointing_does_not_change_report_bytes() {
         "checkpointing must be invisible in the report"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn change_point(spec: &mut FleetSpec) -> &mut ChangePointConfig {
+    match &mut spec.policies[0].governor {
+        GovernorKind::ChangePoint(config) => config,
+        other => panic!("policy 0 runs {other:?}"),
+    }
+}
+
+#[test]
+fn spec_digest_changes_with_every_field() {
+    let mut base = spec(4);
+    base.policies = vec![
+        PolicySpec {
+            governor: GovernorKind::change_point(),
+            dpm: DpmKind::FixedTimeout { timeout_s: 1.0 },
+        },
+        PolicySpec {
+            governor: GovernorKind::ExpAverage { gain: 0.3 },
+            dpm: DpmKind::Tismdp { delay_weight: 2.0 },
+        },
+    ];
+    base.assertions = Some(trace::AssertionConfig::paper());
+    type Edit = (&'static str, fn(&mut FleetSpec));
+    let edits: [Edit; 20] = [
+        ("name", |s| s.name.push('!')),
+        ("devices", |s| s.devices += 1),
+        ("base_seed", |s| s.base_seed += 1),
+        ("workloads", |s| s.workloads = vec![Workload::Session]),
+        ("faults", |s| {
+            s.faults = vec![FaultPreset::Flaky { percent: 10 }]
+        }),
+        ("on_error", |s| s.on_error = OnError::Retry(2)),
+        ("assertions", |s| s.assertions = None),
+        ("governor kind", |s| {
+            s.policies[0].governor = GovernorKind::Ideal;
+        }),
+        ("window", |s| change_point(s).window += 1),
+        ("check_interval", |s| change_point(s).check_interval += 1),
+        ("k_step", |s| change_point(s).k_step += 1),
+        ("ratios", |s| change_point(s).ratios.push(9.0)),
+        ("confidence", |s| change_point(s).confidence = 0.99),
+        ("calibration_trials", |s| {
+            change_point(s).calibration_trials += 1;
+        }),
+        ("calibration_seed", |s| {
+            change_point(s).calibration_seed += 1
+        }),
+        ("ema gain", |s| {
+            s.policies[1].governor = GovernorKind::ExpAverage { gain: 0.5 };
+        }),
+        ("dpm kind", |s| s.policies[0].dpm = DpmKind::BreakEven),
+        ("timeout_s", |s| {
+            s.policies[0].dpm = DpmKind::FixedTimeout { timeout_s: 2.0 };
+        }),
+        ("delay_weight", |s| {
+            s.policies[1].dpm = DpmKind::Tismdp { delay_weight: 0.0 };
+        }),
+        ("policy order", |s| s.policies.swap(0, 1)),
+    ];
+    let mut seen = HashSet::from([spec_digest(&base)]);
+    for (field, edit) in edits {
+        let mut edited = base.clone();
+        edit(&mut edited);
+        assert_ne!(edited, base, "the {field} edit changes the spec");
+        assert!(
+            seen.insert(spec_digest(&edited)),
+            "editing {field} left the digest unchanged or collided"
+        );
+    }
+}
+
+/// The digest of a committed spec, pinned: a change to the
+/// canonical form fails here and must bump `CHECKPOINT_VERSION`.
+#[test]
+fn golden_spec_digest_is_pinned() {
+    let spec = FleetSpec::parse(include_str!("../../../tests/golden/fleet_8dev_spec.json"))
+        .expect("golden spec parses");
+    assert_eq!(spec_digest(&spec), 0xbb7d_0d57_2ee6_d9dc);
+    assert_eq!(CHECKPOINT_VERSION, 3);
 }

@@ -10,16 +10,6 @@
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// What a bounded buffer does when a frame arrives while it is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropPolicy {
-    /// Reject the arriving frame; queued frames are untouched.
-    DropNewest,
-    /// Evict the oldest queued frame to make room for the arrival
-    /// (fresher data is worth more in a streaming decoder).
-    DropOldest,
-}
-
 /// A FIFO buffer of frames with push, pop and drop counters.
 ///
 /// Generic over the frame payload so any crate can use it without
@@ -46,7 +36,6 @@ pub struct FrameBuffer<T> {
     total_pushed: u64,
     total_popped: u64,
     capacity: Option<usize>,
-    policy: DropPolicy,
     total_dropped: u64,
 }
 
@@ -60,20 +49,19 @@ impl<T> FrameBuffer<T> {
             total_pushed: 0,
             total_popped: 0,
             capacity: None,
-            policy: DropPolicy::DropNewest,
             total_dropped: 0,
         }
     }
 
     /// Creates an empty buffer holding at most `capacity` frames; an
-    /// [`offer`](Self::offer) to a full buffer resolves via `policy`.
+    /// [`offer`](Self::offer) to a full buffer rejects the arriving
+    /// frame.
     ///
     /// A `capacity` of zero drops every offered frame.
     #[must_use]
-    pub fn bounded(capacity: usize, policy: DropPolicy) -> Self {
+    pub fn bounded(capacity: usize) -> Self {
         FrameBuffer {
             capacity: Some(capacity),
-            policy,
             ..FrameBuffer::new()
         }
     }
@@ -95,35 +83,21 @@ impl<T> FrameBuffer<T> {
 
     /// Offers a frame arriving at `now`, respecting the capacity bound.
     ///
-    /// Returns the frame that was dropped, if any: the offered frame
-    /// itself under [`DropPolicy::DropNewest`], or the evicted oldest
-    /// frame under [`DropPolicy::DropOldest`]. Unbounded buffers never
-    /// drop. Dropped frames are counted in
-    /// [`total_dropped`](Self::total_dropped).
+    /// Returns the offered frame if the buffer is full: queued frames
+    /// are never evicted, and unbounded buffers never drop. Dropped
+    /// frames are counted in [`total_dropped`](Self::total_dropped).
     ///
     /// # Panics
     ///
     /// Panics if `now` precedes the buffer's last recorded event.
     pub fn offer(&mut self, now: SimTime, frame: T) -> Option<T> {
-        let Some(cap) = self.capacity else {
-            self.push(now, frame);
-            return None;
-        };
-        if self.queue.len() < cap {
-            self.push(now, frame);
-            return None;
+        if self.capacity.is_some_and(|cap| self.queue.len() >= cap) {
+            self.advance(now);
+            self.total_dropped += 1;
+            return Some(frame);
         }
-        self.advance(now);
-        self.total_dropped += 1;
-        match self.policy {
-            DropPolicy::DropNewest => Some(frame),
-            DropPolicy::DropOldest => {
-                let evicted = self.queue.pop_front().map(|(_, f)| f);
-                self.queue.push_back((now, frame));
-                self.total_pushed += 1;
-                evicted
-            }
-        }
+        self.push(now, frame);
+        None
     }
 
     /// The capacity bound, if any.
@@ -284,7 +258,7 @@ mod tests {
 
     #[test]
     fn drop_newest_rejects_the_arrival() {
-        let mut b = FrameBuffer::bounded(2, DropPolicy::DropNewest);
+        let mut b = FrameBuffer::bounded(2);
         assert_eq!(b.offer(t(0), 'a'), None);
         assert_eq!(b.offer(t(1), 'b'), None);
         assert_eq!(b.offer(t(2), 'c'), Some('c'));
@@ -297,19 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_evicts_the_queue_head() {
-        let mut b = FrameBuffer::bounded(2, DropPolicy::DropOldest);
-        b.offer(t(0), 'a');
-        b.offer(t(1), 'b');
-        assert_eq!(b.offer(t(2), 'c'), Some('a'));
-        assert_eq!(b.total_dropped(), 1);
-        assert_eq!(b.pop(t(3)).unwrap().0, 'b');
-        assert_eq!(b.pop(t(4)).unwrap().0, 'c');
-    }
-
-    #[test]
     fn zero_capacity_drops_everything() {
-        let mut b = FrameBuffer::bounded(0, DropPolicy::DropNewest);
+        let mut b = FrameBuffer::bounded(0);
         assert_eq!(b.offer(t(0), 1u8), Some(1));
         assert_eq!(b.offer(t(1), 2u8), Some(2));
         assert_eq!(b.total_dropped(), 2);
@@ -318,7 +281,7 @@ mod tests {
 
     #[test]
     fn dropped_frames_skip_delay_statistics() {
-        let mut b = FrameBuffer::bounded(1, DropPolicy::DropNewest);
+        let mut b = FrameBuffer::bounded(1);
         b.offer(t(0), 'a');
         b.offer(t(1), 'b'); // dropped
         b.pop(t(10));

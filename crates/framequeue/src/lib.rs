@@ -34,7 +34,7 @@ pub mod buffer;
 pub mod mg1;
 pub mod mm1;
 
-pub use buffer::{DropPolicy, FrameBuffer};
+pub use buffer::FrameBuffer;
 
 use std::error::Error;
 use std::fmt;

@@ -11,7 +11,7 @@
 //! parallel run completes, so it is byte-identical at any `--jobs`
 //! count, like everything else the engine emits.
 //!
-//! The wire format mirrors [`Event`]: one JSON object per line with a
+//! The wire format mirrors [`Event`](crate::Event): one JSON object per line with a
 //! `"kind"` discriminator, round-tripped by [`FleetEvent::from_json`]
 //! and [`parse_fleet_jsonl`].
 

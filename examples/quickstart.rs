@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. DVS frequency selection ------------------------------------
     // Hold the mean buffered-frame delay at 0.2 s for MP3 / 0.1 s for MPEG.
-    let dvs = DvsPolicy::smartbadge(0.2, 0.1)?;
+    let dvs = DvsPolicy::smartbadge();
     let op = dvs.select(MediaKind::Mp3Audio, rate, 215.0)?;
     println!(
         "MP3 at {rate:.0} fr/s with a 215 fr/s decoder -> run at {:.1} MHz / {:.2} V",

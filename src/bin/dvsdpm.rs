@@ -412,7 +412,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpm::policy::SleepState;
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| (*s).to_owned()).collect()
@@ -727,9 +726,7 @@ mod tests {
         let run = RunArgs {
             workload: Workload::Mp3("A".to_owned()),
             governor: GovernorKind::Ideal,
-            dpm: DpmKind::BreakEven {
-                state: SleepState::Standby,
-            },
+            dpm: DpmKind::BreakEven,
             seed: 3,
             faults: FaultPreset::Off,
             json: None,

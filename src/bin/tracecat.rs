@@ -134,13 +134,22 @@ fn cmd_freq_table(events: &[Event], out: &mut impl Write) -> io::Result<()> {
 /// returns a human-readable line per mismatch (empty = consistent).
 fn check_against_report(summary: &ReplaySummary, report: &Json) -> Vec<String> {
     let mut mismatches = Vec::new();
-    let counter = |name: &str| report.get(name).and_then(Json::as_u64);
-    let pairs: [(&str, u64); 5] = [
+    // `name` may be a dotted path into a nested object. Of the
+    // robustness counters only buffer drops and degraded entries have
+    // trace events: a frame lost on the link never reaches the device.
+    let counter = |name: &str| {
+        name.split('.')
+            .try_fold(report, |json, key| json.get(key))
+            .and_then(Json::as_u64)
+    };
+    let pairs: [(&str, u64); 7] = [
         ("frames_completed", summary.frames_completed),
         ("freq_switches", summary.freq_switches),
         ("rate_changes", summary.rate_changes),
         ("sleeps", summary.sleeps),
         ("wakes", summary.wakes),
+        ("robustness.frames_dropped", summary.buffer_drops),
+        ("robustness.degraded_entries", summary.degraded_entries),
     ];
     for (name, replayed) in pairs {
         match counter(name) {
@@ -456,6 +465,16 @@ mod tests {
                         .collect(),
                 ),
             ),
+            (
+                "robustness".into(),
+                Json::obj(vec![
+                    ("frames_dropped".into(), summary.buffer_drops.to_json()),
+                    (
+                        "degraded_entries".into(),
+                        summary.degraded_entries.to_json(),
+                    ),
+                ]),
+            ),
         ])
     }
 
@@ -500,6 +519,35 @@ mod tests {
         assert!(mismatches[0].starts_with("mode_secs[decoding]: trace Some("));
         assert!(mismatches[0].ends_with("report None"));
         assert!(mismatches[1].starts_with("freq_residency[2212]: trace Some("));
+    }
+
+    #[test]
+    fn check_compares_robustness_counters() {
+        let mut events = sample_events();
+        let at = t(3_000);
+        events.splice(
+            4..4,
+            [
+                Event::BufferDrop { at, occupancy: 4 },
+                Event::BufferDrop { at, occupancy: 4 },
+                Event::Degraded { at, entered: true },
+            ],
+        );
+        let summary = replay(&events);
+        let mut report = consistent_report(&summary);
+        assert!(check_against_report(&summary, &report).is_empty());
+        report["robustness"]["frames_dropped"] = 7u64.to_json();
+        report["robustness"]["degraded_entries"] = 4u64.to_json();
+        let drift = [
+            "robustness.frames_dropped: trace 2, report Some(7)",
+            "robustness.degraded_entries: trace 1, report Some(4)",
+        ];
+        assert_eq!(check_against_report(&summary, &report), drift);
+        // A report with no robustness object mismatches on both.
+        report["robustness"] = Json::Null;
+        let mismatches = check_against_report(&summary, &report);
+        assert_eq!(mismatches.len(), 2, "{mismatches:?}");
+        assert!(mismatches.iter().all(|m| m.ends_with("report None")));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! assertions, run through the full public API (workload generation →
 //! detection → DVS/DPM → system simulation → report).
 
-use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::metrics::ModeKey;
 use powermgr::scenario::{Attachments, Workload};
@@ -153,13 +152,7 @@ fn stochastic_dpm_competitive_with_timeouts() {
     let governor = GovernorKind::MaxPerformance;
     let timeout = run(
         "session",
-        &cfg(
-            governor.clone(),
-            DpmKind::FixedTimeout {
-                timeout_s: 5.0,
-                state: SleepState::Standby,
-            },
-        ),
+        &cfg(governor.clone(), DpmKind::FixedTimeout { timeout_s: 5.0 }),
         seed,
     );
     let tismdp = run(
@@ -191,16 +184,7 @@ fn no_frames_are_lost() {
     ];
     let mut expected = None;
     for governor in governors {
-        let report = run(
-            "mp3:AF",
-            &cfg(
-                governor,
-                DpmKind::BreakEven {
-                    state: SleepState::Standby,
-                },
-            ),
-            seed,
-        );
+        let report = run("mp3:AF", &cfg(governor, DpmKind::BreakEven), seed);
         let e = *expected.get_or_insert(report.frames_completed);
         assert_eq!(report.frames_completed, e, "same trace, same frame count");
         assert!(report.frames_completed > 3000);

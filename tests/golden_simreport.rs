@@ -9,7 +9,6 @@
 //! means an optimization perturbed float arithmetic, RNG consumption,
 //! or event ordering somewhere between the detector and the report.
 
-use dpm::policy::SleepState;
 use powermgr::config::{DpmKind, GovernorKind, SystemConfig};
 use powermgr::scenario::{Attachments, Workload};
 use powermgr::{SharedResources, SystemSimulator};
@@ -20,9 +19,7 @@ use trace::{NullSink, RingSink};
 fn golden_config() -> SystemConfig {
     SystemConfig {
         governor: GovernorKind::change_point(),
-        dpm: DpmKind::BreakEven {
-            state: SleepState::Standby,
-        },
+        dpm: DpmKind::BreakEven,
         ..SystemConfig::default()
     }
 }

@@ -174,9 +174,7 @@ proptest! {
         };
         let config = SystemConfig {
             governor,
-            dpm: DpmKind::BreakEven {
-                state: dpm::policy::SleepState::Standby,
-            },
+            dpm: DpmKind::BreakEven,
             ..SystemConfig::default()
         };
         let mut rng = SimRng::seed_from(seed);

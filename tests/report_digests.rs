@@ -152,16 +152,20 @@ fn assert_replays_to(stream: &[u8], report: &SimReport, row: &str) {
             summary.freq_switches,
             summary.rate_changes,
             summary.sleeps,
-            summary.wakes
+            summary.wakes,
+            summary.buffer_drops,
+            summary.degraded_entries
         ],
         [
             report.frames_completed,
             report.freq_switches,
             report.rate_changes,
             report.sleeps,
-            report.wakes
+            report.wakes,
+            report.robustness.frames_dropped,
+            report.robustness.degraded_entries
         ],
-        "{row}: frames, switches, rate changes, sleeps, wakes"
+        "{row}: frames, switches, rate changes, sleeps, wakes, buffer drops, degraded entries"
     );
     let replayed_modes: BTreeMap<ModeKey, u64> = summary
         .mode_secs()

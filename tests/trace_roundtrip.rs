@@ -49,9 +49,7 @@ fn traced_jsonl(config: &SystemConfig, seed: u64) -> (String, powermgr::SimRepor
 fn traced_jsonl_replays_to_the_exact_report() {
     let config = SystemConfig {
         governor: GovernorKind::Ideal,
-        dpm: DpmKind::BreakEven {
-            state: dpm::policy::SleepState::Standby,
-        },
+        dpm: DpmKind::BreakEven,
         ..SystemConfig::default()
     };
     let untraced = Workload::Mp3("AB".into())
@@ -112,9 +110,7 @@ fn traced_jsonl_replays_to_the_exact_report() {
 fn events_survive_a_json_round_trip_individually() {
     let config = SystemConfig {
         governor: GovernorKind::quick_change_point(),
-        dpm: DpmKind::BreakEven {
-            state: dpm::policy::SleepState::Standby,
-        },
+        dpm: DpmKind::BreakEven,
         ..SystemConfig::default()
     };
     let (text, _) = traced_jsonl(&config, 102);
@@ -131,9 +127,7 @@ fn events_survive_a_json_round_trip_individually() {
 fn filtered_stream_keeps_only_requested_kinds() {
     let config = SystemConfig {
         governor: GovernorKind::Ideal,
-        dpm: DpmKind::BreakEven {
-            state: dpm::policy::SleepState::Standby,
-        },
+        dpm: DpmKind::BreakEven,
         ..SystemConfig::default()
     };
     let keep = KindSet::parse("freq,sleep").expect("valid kinds");
