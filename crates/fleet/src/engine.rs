@@ -31,12 +31,22 @@
 //!   ([`crate::cohort::cohort_key`], the schedule key):
 //!   identical-config devices step back-to-back on one worker while
 //!   results still land (and fold) in device order.
+//! * A traced run makes each device trace durable on a promoter thread
+//!   (one per worker), not on the worker that wrote it: the worker
+//!   hands over the flushed file once nothing after it can fail and
+//!   simulates the next device. The fold waits on each device's
+//!   promotion, in device order, before it logs or counts the device,
+//!   so a checkpoint or `fleet.jsonl` never counts a trace that is not
+//!   yet durable.
 
 use std::cell::RefCell;
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 
 use powermgr::config::SystemConfig;
 use powermgr::scenario::Attachments;
@@ -59,6 +69,10 @@ pub const BATCH: usize = 256;
 
 /// Default checkpoint cadence: a snapshot every this many batches.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 4;
+
+/// Flushed device traces that may wait for a promoter. Small, so a
+/// slow disk holds the workers back instead of a batch of open files.
+const PROMOTE_QUEUE: usize = 2;
 
 /// Optional engine features beyond the plain spec + jobs run: trace
 /// streaming, periodic checkpoints, and resuming from one.
@@ -149,16 +163,21 @@ pub fn run_fleet_opts(
     // The schedule key groups each batch into cohorts: identical-config
     // devices step consecutively on one worker (their shared tables
     // stay hot) without perturbing result slots or fold order.
-    let run = || -> Result<FleetAccumulator, FleetError> {
+    let run = |traces: Option<TraceDir<'_>>| -> Result<FleetAccumulator, FleetError> {
         let acc = par_try_fold_range_batched_by(
             jobs,
             start..spec.devices,
             batch,
             |i| cohort::cohort_key(spec, i),
-            |i| supervised_run(spec, i, trace_dir, &cohorts),
+            |i| supervised_run(spec, i, traces, &cohorts),
             resumed,
             |mut acc: FleetAccumulator, _i, result| {
-                let outcome = result?;
+                let (outcome, promotion) = result?;
+                if let Some(ticket) = promotion {
+                    if let Err(e) = ticket.wait() {
+                        return Err(FleetError::Io(e.clone()));
+                    }
+                }
                 if spec.on_error == OnError::FailFast {
                     if let DeviceOutcome::Failed(f) = &outcome {
                         return Err(FleetError::Device {
@@ -199,7 +218,28 @@ pub fn run_fleet_opts(
         }
         Ok(acc)
     };
-    let result = run();
+    let result = match trace_dir {
+        None => run(None),
+        // As many promoters as workers share one queue, so as many
+        // fsyncs can be in flight as when the workers made them. The
+        // scope joins them once `promoter` drops, so every trace handed
+        // over is promoted before the run returns, even after an error.
+        Some(dir) => {
+            let (promoter, queue) = mpsc::sync_channel(PROMOTE_QUEUE);
+            let queue = Mutex::new(queue);
+            thread::scope(|s| {
+                for _ in 0..jobs.resolve().min(batch) {
+                    s.spawn(|| promote_traces(&queue));
+                }
+                let result = run(Some(TraceDir {
+                    dir,
+                    promoter: &promoter,
+                }));
+                drop(promoter);
+                result
+            })
+        }
+    };
 
     match result {
         Ok(acc) => {
@@ -243,7 +283,66 @@ pub fn run_device(spec: &FleetSpec, device: usize) -> Result<DeviceOutcome, Flee
             spec.devices
         )));
     }
-    supervised_run(spec, device, None, &CohortResources::default())
+    supervised_run(spec, device, None, &CohortResources::default()).map(|(outcome, _)| outcome)
+}
+
+/// A traced run's trace directory and the queue to its promoters.
+#[derive(Clone, Copy)]
+struct TraceDir<'a> {
+    dir: &'a Path,
+    promoter: &'a SyncSender<Promotion>,
+}
+
+/// A device trace written and flushed at its temp path, on its way to
+/// a promoter, with the ticket that carries the promotion's result
+/// back to the fold.
+struct Promotion {
+    file: fs::File,
+    tmp: PathBuf,
+    path: PathBuf,
+    ticket: Ticket,
+}
+
+/// Where a promoter leaves one device's promotion result for the fold.
+type Ticket = Arc<OnceLock<Result<(), String>>>;
+
+impl TraceDir<'_> {
+    /// Hands `device`'s flushed trace to the promoters; blocks while
+    /// the queue is full.
+    fn hand_off(self, device: usize, file: fs::File) -> Ticket {
+        let ticket = Ticket::default();
+        self.promoter
+            .send(Promotion {
+                file,
+                tmp: trace_tmp_path(self.dir, device),
+                path: trace_path(self.dir, device),
+                ticket: Arc::clone(&ticket),
+            })
+            .expect("the queue outlives the map");
+        ticket
+    }
+}
+
+/// A promoter: takes handed-over traces off the shared queue and makes
+/// each durable until every sender is gone. It keeps going after a
+/// failure, as the workers would have, and answers each ticket; a
+/// ticket nobody reads any more (the fold stopped at an earlier error)
+/// is dropped.
+fn promote_traces(queue: &Mutex<Receiver<Promotion>>) {
+    loop {
+        // The lock is held only while taking the next trace.
+        let next = queue.lock().expect("no promoter panics").recv();
+        let Ok(p) = next else { break };
+        let io_err = |what: &str, e: std::io::Error| format!("{what} {}: {e}", p.tmp.display());
+        // Sync before promoting: a rename can hit disk before the file
+        // contents, so an unsynced promote could survive a crash as a
+        // valid-looking truncated trace.
+        let promoted = p.file.sync_all().map_err(|e| io_err("cannot sync", e));
+        let promoted = promoted.and_then(|()| {
+            trace::durable::promote(&p.tmp, &p.path).map_err(|e| io_err("cannot rename", e))
+        });
+        let _ = p.ticket.set(promoted);
+    }
 }
 
 /// How one device attempt ended, seen from the supervisor.
@@ -257,14 +356,16 @@ enum AttemptError {
 
 /// Supervises one device: run it under [`catch_unwind`], retrying on
 /// deterministically forked seeds up to the policy's attempt budget,
-/// and condense the result into a [`DeviceOutcome`]. Only
+/// and condense the result into a [`DeviceOutcome`]. A completed
+/// traced device comes with the ticket of its trace's promotion. Only
 /// infrastructure (I/O) failures escape as errors.
 fn supervised_run(
     spec: &FleetSpec,
     device: usize,
-    trace_dir: Option<&Path>,
+    traces: Option<TraceDir<'_>>,
     cohorts: &CohortResources,
-) -> Result<DeviceOutcome, FleetError> {
+) -> Result<(DeviceOutcome, Option<Ticket>), FleetError> {
+    let trace_dir = traces.map(|t| t.dir);
     let a = spec.assignment(device);
     let shared = cohorts.for_policy(a.policy_index);
     let max_attempts = spec.on_error.max_attempts();
@@ -286,7 +387,10 @@ fn supervised_run(
             )
         }));
         match attempted {
-            Ok(Ok(record)) => return Ok(DeviceOutcome::Completed(record)),
+            Ok(Ok((record, staged))) => {
+                let ticket = traces.zip(staged).map(|(t, file)| t.hand_off(device, file));
+                return Ok((DeviceOutcome::Completed(record), ticket));
+            }
             Ok(Err(AttemptError::Fatal(e))) => return Err(e),
             Ok(Err(AttemptError::Contained(msg))) => last_error = msg,
             Err(payload) => last_error = format!("panic: {}", panic_message(&*payload)),
@@ -297,7 +401,7 @@ fn supervised_run(
             fs::remove_file(trace_tmp_path(dir, device)).ok();
         }
     }
-    Ok(DeviceOutcome::Failed(DeviceFailure {
+    let failure = DeviceFailure {
         device: device as u64,
         seed: last_seed,
         workload: a.workload.to_string(),
@@ -307,7 +411,8 @@ fn supervised_run(
         faults: a.faults.to_string(),
         attempts: u64::from(max_attempts),
         error: last_error,
-    }))
+    };
+    Ok((DeviceOutcome::Failed(failure), None))
 }
 
 /// Best-effort panic payload rendering: `&str` and `String` payloads
@@ -338,7 +443,8 @@ fn trace_tmp_path(dir: &Path, device: usize) -> PathBuf {
 /// [`powermgr::SimReport`] plus the detection probe into a
 /// [`DeviceRecord`]. Empty `shared` resources (the reference path)
 /// resolve through the threshold cache per construction instead —
-/// byte-identical either way.
+/// byte-identical either way. With a trace directory it also returns
+/// the trace, written and flushed at its temp path but not yet synced.
 fn run_attempt(
     a: &DeviceAssignment<'_>,
     seed: u64,
@@ -346,7 +452,7 @@ fn run_attempt(
     trace_dir: Option<&Path>,
     shared: &SharedResources,
     assertions: Option<&trace::AssertionConfig>,
-) -> Result<DeviceRecord, AttemptError> {
+) -> Result<(DeviceRecord, Option<fs::File>), AttemptError> {
     let config = device_config(a, seed);
     let sim_err = |e: PmError| AttemptError::Contained(e.to_string());
 
@@ -361,6 +467,7 @@ fn run_attempt(
         ),
     };
 
+    let mut staged = None;
     let report = match trace_dir {
         None => a
             .workload
@@ -379,7 +486,6 @@ fn run_attempt(
             // success: an interrupted or failed attempt never leaves a
             // truncated `device_NNNNN.jsonl` for `tracecat replay
             // --check` to trip over.
-            let path = trace_path(dir, a.device);
             let tmp = trace_tmp_path(dir, a.device);
             let io_err = |what: &str, p: &Path, e: std::io::Error| {
                 AttemptError::Fatal(FleetError::Io(format!("{what} {}: {e}", p.display())))
@@ -404,13 +510,7 @@ fn run_attempt(
                     tmp.display()
                 )))
             })?;
-            // Sync before promoting: a rename can hit disk before the
-            // file contents, so an unsynced promote could survive a
-            // crash as a valid-looking truncated trace.
-            let file = sink.into_inner();
-            file.sync_all()
-                .map_err(|e| io_err("cannot sync", &tmp, e))?;
-            trace::durable::promote(&tmp, &path).map_err(|e| io_err("cannot rename", &tmp, e))?;
+            staged = Some(sink.into_inner());
             report
         }
     };
@@ -425,7 +525,11 @@ fn run_attempt(
         dropped as f64 / offered as f64
     };
 
-    Ok(DeviceRecord {
+    // The probe is the attempt's last fallible step, so it runs before
+    // the supervisor hands the trace to a promoter.
+    let detection_latency_frames = cohort::probe_detection_latency(&config.governor, seed, shared)
+        .map_err(AttemptError::Contained)?;
+    let record = DeviceRecord {
         device: a.device as u64,
         seed,
         workload: a.workload.to_string(),
@@ -437,13 +541,13 @@ fn run_attempt(
         energy_kj: report.total_energy_kj(),
         mean_delay_s: report.mean_frame_delay_s(),
         drop_rate,
-        detection_latency_frames: cohort::probe_detection_latency(&config.governor, seed, shared)
-            .map_err(AttemptError::Contained)?,
+        detection_latency_frames,
         frames_completed: report.frames_completed,
         duration_secs: report.duration_secs,
         deadline_miss_ratio: report.robustness.deadline_miss_ratio(),
         assertions: report.assertions.map(|r| DeviceAssertions::from_report(&r)),
-    })
+    };
+    Ok((record, staged))
 }
 
 /// Expands a device assignment into the full [`SystemConfig`],

@@ -267,3 +267,129 @@ fn failed_devices_leave_no_truncated_trace_files() {
     assert_eq!(failed, report.health.failed);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The fleet of the trace-promotion tests: `mp3:A` under `max`/`none`
+/// and `change-point`/`break-even`, base seed 3. Faults vary slowest.
+fn promotion_spec(devices: usize, faults: &str, on_error: &str) -> FleetSpec {
+    FleetSpec::parse(&format!(
+        r#"{{
+            "name": "promotion",
+            "devices": {devices},
+            "base_seed": 3,
+            "workloads": ["mp3:A"],
+            "policies": [
+                {{ "governor": "max", "dpm": "none" }},
+                {{ "governor": "change-point", "dpm": "break-even" }}
+            ],
+            "faults": [{faults}],
+            "on_error": "{on_error}"
+        }}"#
+    ))
+    .expect("test spec is valid")
+}
+
+/// A fresh directory for one promotion-failure run.
+fn promotion_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fleet_promotion_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Runs `spec` with traces under `dir/trace` (and `opts`' other
+/// settings) after putting a non-empty directory at the final trace
+/// path of each `blocked` device, so that device's rename fails.
+fn run_blocked(
+    spec: &FleetSpec,
+    jobs: usize,
+    dir: &std::path::Path,
+    blocked: &[usize],
+    opts: RunOptions,
+) -> Result<fleet::FleetReport, FleetError> {
+    let traces = dir.join("trace");
+    for device in blocked {
+        let block = traces.join(format!("device_{device:05}.jsonl"));
+        std::fs::create_dir_all(&block).expect("create blocking dir");
+        std::fs::write(block.join("keep"), b"").expect("fill blocking dir");
+    }
+    let opts = RunOptions {
+        trace_dir: Some(traces),
+        ..opts
+    };
+    run_fleet_opts(spec, Jobs::Count(jobs), &opts)
+}
+
+#[test]
+fn failed_trace_promotion_aborts_the_run_and_is_never_checkpointed() {
+    let spec = promotion_spec(12, r#""off""#, "fail_fast");
+    let reference_dir = promotion_dir("reference");
+    run_blocked(&spec, 1, &reference_dir, &[], RunOptions::default())
+        .expect("unblocked run completes");
+    for jobs in [1, 2, 8] {
+        let dir = promotion_dir(&format!("blocked_j{jobs}"));
+        let checkpoints = dir.join("ckpt");
+        let opts = RunOptions {
+            checkpoint_dir: Some(checkpoints.clone()),
+            checkpoint_every: 1,
+            batch: 4,
+            ..RunOptions::default()
+        };
+        match run_blocked(&spec, jobs, &dir, &[6, 9], opts) {
+            Err(FleetError::Io(msg)) => assert!(
+                msg.contains("cannot rename") && msg.contains("device_00006.jsonl.tmp"),
+                "jobs={jobs}: unexpected I/O error `{msg}`"
+            ),
+            Err(other) => panic!("jobs={jobs}: expected FleetError::Io, got {other}"),
+            Ok(_) => panic!("jobs={jobs}: a blocked promotion must abort the run"),
+        }
+        // The first batch (devices 0-3) was checkpointed; the batch
+        // holding the failed promotion never was.
+        let resumed = fleet::checkpoint::load_checkpoint(&checkpoints, &spec)
+            .expect("checkpoint verifies")
+            .expect("the first batch was checkpointed");
+        assert_eq!(resumed.devices(), 4, "jobs={jobs}");
+        for device in 0..4 {
+            let name = format!("device_{device:05}.jsonl");
+            assert_eq!(
+                std::fs::read(dir.join("trace").join(&name)).expect("promoted trace"),
+                std::fs::read(reference_dir.join("trace").join(&name)).expect("reference trace"),
+                "jobs={jobs}: {name} differs from the unblocked run"
+            );
+        }
+        for name in ["fleet.jsonl", "fleet.jsonl.tmp"] {
+            assert!(
+                !dir.join("trace").join(name).exists(),
+                "jobs={jobs}: a failed run left {name}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&reference_dir);
+}
+
+#[test]
+fn the_first_failure_in_device_order_wins_between_a_device_and_a_promotion() {
+    // Devices 0-1 and 4-5 are healthy, 2-3 and 6-7 poisoned.
+    let spec = promotion_spec(8, r#""off", "poison""#, "fail_fast");
+    for jobs in [1, 2, 8] {
+        let opts = || RunOptions {
+            batch: 8,
+            ..RunOptions::default()
+        };
+        let dir = promotion_dir(&format!("before_j{jobs}"));
+        match run_blocked(&spec, jobs, &dir, &[1], opts()) {
+            Err(FleetError::Io(msg)) => assert!(
+                msg.contains("cannot rename") && msg.contains("device_00001.jsonl.tmp"),
+                "jobs={jobs}: unexpected I/O error `{msg}`"
+            ),
+            other => panic!("jobs={jobs}: expected device 1's I/O error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = promotion_dir(&format!("after_j{jobs}"));
+        match run_blocked(&spec, jobs, &dir, &[4], opts()) {
+            Err(FleetError::Device { device, .. }) => assert_eq!(device, 2, "jobs={jobs}"),
+            other => panic!("jobs={jobs}: expected device 2's failure, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

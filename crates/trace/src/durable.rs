@@ -39,6 +39,9 @@ pub fn write_atomic(final_path: &Path, tmp_path: &Path, bytes: &[u8]) -> std::io
 /// rename, then parent-directory sync. The caller is responsible for
 /// having called [`std::fs::File::sync_all`] on the staged file.
 ///
+/// It may run on any thread, not only the one that wrote the file; the
+/// staged file's data must be synced before it is called.
+///
 /// # Errors
 ///
 /// Returns the rename error, if any.
